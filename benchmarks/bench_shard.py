@@ -1,29 +1,23 @@
-"""Experiment BENCH-SHARD — static partitioning vs work stealing.
+"""Experiment BENCH-SHARD — work-stealing parallel search vs sequential DFS.
 
-The static parallel scheduler cuts the choice tree at a fixed frontier
-depth and assigns each prefix to a worker up front; a skewed tree —
-one giant subtree among trivial siblings — leaves one worker holding
-almost all the work while the rest idle.  The work-stealing scheduler
-(:mod:`repro.service.scheduler`) hands out subtree *leases* and lets
-idle workers steal unexplored siblings from the busy one, so skew is
-dissolved at runtime instead of being baked in at partition time.
+The parallel strategy (:mod:`repro.service.scheduler`) hands out
+subtree *leases* and lets idle workers steal unexplored siblings from
+busy ones, so a skewed tree — one giant subtree among trivial
+siblings — is split at runtime instead of leaving one worker holding
+almost all the work.
 
-This experiment runs the identical bounded search three ways — the
-sequential DFS baseline, ``--scheduler static`` and ``--scheduler
-steal`` — over Figure 2, Figure 3 and a deliberately skewed toss tree,
-and records wall time plus the lease/steal telemetry.
+This experiment runs the identical bounded search two ways — the
+sequential DFS baseline and ``--strategy parallel`` — over Figure 2,
+Figure 3 and a deliberately skewed toss tree, and records wall time
+plus the lease/steal telemetry.
 
-Asserted unconditionally (the schedulers must differ *only* in how
+Asserted unconditionally (parallel search must differ *only* in how
 work is distributed):
 
 * states / transitions / paths / toss points / violation groups all
-  identical to sequential DFS for both schedulers;
+  identical to sequential DFS;
 * on the skewed tree, stealing actually happens (``steals > 0``) and
   the work is split across leases (``leases > jobs``).
-
-Asserted only on hosts with >= 4 CPUs (the container CI box has one
-core, where every scheduler time-slices): steal beats static on the
-skewed workload by at least 20%.
 
 Numbers land in the repo-root ``BENCH_shard.json`` (CI uploads the
 ``BENCH_*.json`` artifacts) with a copy under ``benchmarks/results/``.
@@ -33,7 +27,6 @@ Each parametrized case merges its rows into the JSON, so a filtered run
 
 from __future__ import annotations
 
-import os
 import time
 
 import pytest
@@ -69,7 +62,7 @@ proc main() {
 
 def _skewed_system():
     """One subtree holds 2**8 paths, its three siblings one each — the
-    static partition's worst case."""
+    worst case for a partition fixed before the search starts."""
     system = System(SKEWED_SRC)
     system.add_env_sink("out")
     system.add_process("p", "main", [])
@@ -83,18 +76,15 @@ CASES = {
 }
 
 
-def _run_one(build, bounds, *, strategy, scheduler="static", jobs=0):
+def _run_one(build, bounds, *, strategy, jobs=0):
     system = build()
-    options = SearchOptions(
-        strategy=strategy, scheduler=scheduler, jobs=jobs, **bounds
-    )
+    options = SearchOptions(strategy=strategy, jobs=jobs, **bounds)
     started = time.perf_counter()
     report = run_search(system, options)
     elapsed = time.perf_counter() - started
     stats = report.stats
     return {
         "strategy": stats.strategy,
-        "scheduler": scheduler if strategy == "parallel" else None,
         "jobs": stats.jobs,
         "states": stats.states_visited,
         "transitions": stats.transitions_executed,
@@ -114,42 +104,27 @@ def test_bench_shard(label, record_table, baseline_results):
     build, bounds = CASES[label]
     rows = {
         "dfs": _run_one(build, bounds, strategy="dfs"),
-        "static": _run_one(
-            build, bounds, strategy="parallel", scheduler="static", jobs=JOBS
-        ),
-        "steal": _run_one(
-            build, bounds, strategy="parallel", scheduler="steal", jobs=JOBS
-        ),
+        "parallel": _run_one(build, bounds, strategy="parallel", jobs=JOBS),
     }
 
     # Identical search, different distribution cost — nothing else.
-    for variant in ("static", "steal"):
-        for key in PARITY_KEYS:
-            assert rows[variant][key] == rows["dfs"][key], (
-                f"{label}: {key} differs between {variant} and dfs: "
-                f"{rows[variant][key]} vs {rows['dfs'][key]}"
-            )
+    for key in PARITY_KEYS:
+        assert rows["parallel"][key] == rows["dfs"][key], (
+            f"{label}: {key} differs between parallel and dfs: "
+            f"{rows['parallel'][key]} vs {rows['dfs'][key]}"
+        )
 
     if label == "skewed":
-        assert rows["steal"]["steals"] > 0, "skewed tree must trigger steals"
-        assert rows["steal"]["leases"] > JOBS, (
+        assert rows["parallel"]["steals"] > 0, "skewed tree must trigger steals"
+        assert rows["parallel"]["leases"] > JOBS, (
             "stealing must split the heavy subtree into more leases "
             "than there are workers"
         )
-        ratio = rows["static"]["wall_time_s"] / max(
-            rows["steal"]["wall_time_s"], 1e-9
-        )
-        rows["steal"]["speedup_vs_static"] = round(ratio, 2)
-        if (os.cpu_count() or 1) >= 4:
-            assert ratio >= 1.2, (
-                f"skewed: steal was only {ratio:.2f}x static "
-                "(expected >= 1.2x with >= 4 real cores)"
-            )
 
     merge_bench_json("shard", label, rows)
 
     lines = [
-        f"Schedulers on {label} (bounds {bounds}, jobs {JOBS})",
+        f"Sequential vs parallel on {label} (bounds {bounds}, jobs {JOBS})",
         "",
         f"  {'variant':<8} {'paths':>6} {'states':>7} {'leases':>7} "
         f"{'steals':>7} {'time':>9}",

@@ -2,7 +2,7 @@
 
 The stateless explorer backtracks by replay from the initial state, so
 disjoint subtrees of the choice tree can be searched by independent OS
-processes (``repro.verisoft.parallel``).  This experiment explores the
+processes (``repro.service.scheduler``).  This experiment explores the
 Section 6 call-processing application sequentially and with worker
 pools of 2 and 4, verifies the merged reports are *identical in
 summary* to the sequential search, and records wall time, throughput
@@ -50,7 +50,7 @@ def _row(label: str, report, elapsed: float) -> str:
         f"  {label:<12} {elapsed:>8.2f}s {stats.states_visited:>9} "
         f"{stats.states_visited / elapsed:>11,.0f} "
         f"{ratio if ratio is not None else 0:>9.3f} "
-        f"{stats.prefixes:>9}"
+        f"{stats.leases:>9}"
     )
 
 
@@ -82,7 +82,7 @@ def test_parallel_scaling(record_table):
         f"  host cores: {cores}; sequential summary: {sequential.summary()}",
         "",
         f"  {'mode':<12} {'wall':>9} {'states':>9} {'states/s':>11} "
-        f"{'POR':>9} {'prefixes':>9}",
+        f"{'POR':>9} {'leases':>9}",
         _row("sequential", sequential, t_seq),
         _row("--jobs 2", runs[2], runs[2].elapsed),
         _row("--jobs 4", runs[4], runs[4].elapsed),

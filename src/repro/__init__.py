@@ -77,7 +77,6 @@ from .verisoft import (
     SearchStats,
     Trace,
     collect_output_traces,
-    parallel_search,
     replay,
     run_search,
 )
@@ -126,7 +125,6 @@ __all__ = [
     "load_trace",
     "make_store",
     "normalize_program",
-    "parallel_search",
     "parse_program",
     "pretty",
     "replay",

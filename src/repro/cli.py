@@ -95,7 +95,7 @@ from .sysdesc import (
     load_program,
     system_from_description,
 )
-from .verisoft import SCHEDULERS, ProgressPrinter, SearchOptions, run_search
+from .verisoft import ProgressPrinter, SearchOptions, run_search
 
 
 def _load_program(path: pathlib.Path):
@@ -253,8 +253,6 @@ def _options_from_args(args) -> SearchOptions:
         walks=args.walks,
         seed=args.seed,
         jobs=args.jobs,
-        scheduler=getattr(args, "scheduler", "static"),
-        prefix_depth=args.prefix_depth,
         profile=args.profile,
         coverage=getattr(args, "coverage", False)
         or getattr(args, "coverage_json", None) is not None,
@@ -535,7 +533,6 @@ def cmd_submit(args) -> int:
     description = _read_description(args.system)
     options = _options_from_args(args)
     options.strategy = "parallel"
-    options.scheduler = "steal"
     store = _job_store(args)
     try:
         job = store.submit(
@@ -786,8 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("restore", "replay"),
         default="restore",
         help="DFS backtracking mode: 'restore' rewinds the live run via "
-        "undo-journal checkpoints (O(changes) per backtrack; falls back "
-        "to replay automatically if an object is not journalable); "
+        "undo-journal checkpoints (O(changes) per backtrack); "
         "'replay' is classic stateless re-execution. Both report "
         "identical results (default: restore)",
     )
@@ -837,23 +833,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="parallel strategy: worker processes (0 = all cores)",
-    )
-    search_parser.add_argument(
-        "--scheduler",
-        choices=SCHEDULERS,
-        default="static",
-        help="parallel strategy: 'static' partitions the tree up front "
-        "into fixed prefixes; 'steal' hands out subtree leases "
-        "dynamically and lets idle workers steal from busy ones "
-        "(identical reports either way; default: static)",
-    )
-    search_parser.add_argument(
-        "--prefix-depth",
-        type=int,
-        default=None,
-        help="parallel strategy: frontier depth of the prefix partition "
-        "(default: auto-tuned)",
+        help="parallel strategy: worker processes (0 = all cores); "
+        "workers take subtree leases and idle workers steal from busy ones",
     )
     search_parser.add_argument(
         "--progress",
@@ -910,9 +891,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile_parser.add_argument("--seed", type=int, default=0)
     profile_parser.add_argument("--jobs", "-j", type=int, default=0, metavar="N")
     profile_parser.add_argument(
-        "--scheduler", choices=SCHEDULERS, default="static"
-    )
-    profile_parser.add_argument(
         "--engine",
         choices=("walk", "compiled"),
         default="walk",
@@ -951,7 +929,6 @@ def build_parser() -> argparse.ArgumentParser:
         state_cache="off",
         cache_bits=24,
         cache_mode="safe",
-        prefix_depth=None,
         stats=False,
         save_traces=None,
         profile=True,
@@ -1117,10 +1094,8 @@ def build_parser() -> argparse.ArgumentParser:
     submit_parser.set_defaults(
         func=cmd_submit,
         strategy="parallel",
-        scheduler="steal",
         walks=100,
         seed=0,
-        prefix_depth=None,
         profile=False,
         stall_timeout=10.0,
     )

@@ -169,18 +169,9 @@ class IncrementalReplayer:
     query.  The returned outcome's ``run`` is the shared live run (do
     not hold on to it across queries); after a mismatch it is ``None``,
     like the plain function.
-
-    Requires ``system.journalable()`` — construction raises
-    :class:`ValueError` otherwise so callers can fall back to
-    :func:`run_choices`.
     """
 
     def __init__(self, system: System, engine: str = "walk"):
-        if not system.journalable():
-            raise ValueError(
-                "system has non-journalable communication objects; "
-                "use run_choices() instead"
-            )
         self._run = system.start(journal=True, engine=engine)
         self._run.start_processes()
         #: Choices currently applied to the live run.

@@ -21,9 +21,8 @@ Two passes:
    concern *Environment Assumptions for Synthesis* frames as finding
    the weakest environment behaviour that still matters.
 
-Every oracle query is a deterministic re-execution.  On journalable
-systems (all built-in object kinds) the oracle runs on an
-:class:`~repro.counterex.replay.IncrementalReplayer`: consecutive
+Every oracle query is a deterministic re-execution.  The oracle runs
+on an :class:`~repro.counterex.replay.IncrementalReplayer`: consecutive
 candidates share long prefixes, so each query rewinds one live
 journaled run to the common prefix and executes only the differing
 suffix — the same undo-journal machinery the restore-mode explorer
@@ -60,14 +59,11 @@ class ShrinkResult:
     #: Deterministic re-executions the oracle performed.
     oracle_runs: int
     #: Choices the oracle actually executed (suffixes past retained
-    #: prefixes when the incremental replayer was used; every choice of
-    #: every query otherwise).
+    #: checkpoint prefixes).
     oracle_choices_applied: int = 0
     #: Choices answered from a retained checkpoint prefix without
-    #: re-execution (0 when the plain oracle ran).
+    #: re-execution.
     oracle_choices_reused: int = 0
-    #: Whether the checkpoint-reusing incremental oracle was used.
-    incremental: bool = False
 
     @property
     def shrunk_length(self) -> int:
@@ -81,7 +77,7 @@ class ShrinkResult:
             f"({self.oracle_runs} oracle runs)"
         )
         total = self.oracle_choices_applied + self.oracle_choices_reused
-        if self.incremental and total:
+        if total:
             pct = 100.0 * self.oracle_choices_reused / total
             line += f", {pct:.0f}% of oracle choices reused from checkpoints"
         return line
@@ -91,9 +87,8 @@ class _Oracle:
     """Memoizing reproduction oracle over candidate choice sequences.
 
     ``runner`` maps a candidate to a
-    :class:`~repro.counterex.replay.ReplayOutcome` — either plain
-    :func:`run_choices` (fresh run per query) or a bound
-    :meth:`IncrementalReplayer.run_choices` (checkpoint reuse).
+    :class:`~repro.counterex.replay.ReplayOutcome`; :func:`shrink_choices`
+    binds :meth:`IncrementalReplayer.run_choices` (checkpoint reuse).
     """
 
     def __init__(
@@ -191,20 +186,14 @@ def shrink_choices(
     records one span per ddmin / toss-minimize round (category
     ``"shrink"``), so slow shrinks show where the oracle runs went.
 
-    On journalable systems the oracle queries run on an
+    The oracle queries run on an
     :class:`~repro.counterex.replay.IncrementalReplayer` (checkpoint
-    reuse across the shared prefixes of consecutive candidates);
-    otherwise each query is a fresh full re-execution.  ``stats_out``,
-    when given, receives the oracle telemetry keys ``incremental``,
+    reuse across the shared prefixes of consecutive candidates).
+    ``stats_out``, when given, receives the oracle telemetry keys
     ``choices_applied`` and ``choices_reused``.
     """
-    replayer: IncrementalReplayer | None = None
-    if system.journalable():
-        replayer = IncrementalReplayer(system)
-        runner = replayer.run_choices
-    else:
-        runner = lambda candidate: run_choices(system, candidate)  # noqa: E731
-    oracle = _Oracle(runner, signature, max_oracle_runs)
+    replayer = IncrementalReplayer(system)
+    oracle = _Oracle(replayer.run_choices, signature, max_oracle_runs)
     minimal = tuple(choices)
     if not oracle(minimal):
         raise ShrinkError(
@@ -234,13 +223,8 @@ def shrink_choices(
         if minimal == before:
             break
     if stats_out is not None:
-        stats_out["incremental"] = replayer is not None
-        stats_out["choices_applied"] = (
-            replayer.choices_applied if replayer is not None else 0
-        )
-        stats_out["choices_reused"] = (
-            replayer.choices_reused if replayer is not None else 0
-        )
+        stats_out["choices_applied"] = replayer.choices_applied
+        stats_out["choices_reused"] = replayer.choices_reused
     return minimal, oracle.runs
 
 
@@ -283,5 +267,4 @@ def shrink(
         oracle_runs=runs,
         oracle_choices_applied=oracle_stats.get("choices_applied", 0),
         oracle_choices_reused=oracle_stats.get("choices_reused", 0),
-        incremental=oracle_stats.get("incremental", False),
     )

@@ -168,6 +168,8 @@ class Lexer:
             if char == quote:
                 break
             if char == "\\":
+                if self._pos >= len(self._source):
+                    raise LexError("unterminated string literal", location)
                 escape = self._advance()
                 replacements = {"n": "\n", "t": "\t", "\\": "\\", "'": "'", '"': '"'}
                 if escape not in replacements:

@@ -17,13 +17,13 @@ as the hot-spot profiler:
 The explorer drains each engine's trace buffer right after the segment
 that produced it (process startup, a toss answer, a visible-operation
 execution) and tells the collector whether that segment ran on *fresh*
-ground (``_ExecState.fresh_edge``) or was prefix replay.  Replayed
+ground (``_ExecState.fresh``) or was prefix replay.  Replayed
 segments still advance the collector's control-context parser (the call
 stack must track every executed node) but are not counted — which is
-what makes coverage merge counter-exactly across parallel workers and
-work-stealing shards: every fresh edge is counted exactly once
-system-wide, so ``jobs=1``, ``jobs=4`` and ``--scheduler steal`` produce
-bit-identical counters, as do the walk and compiled engines (their
+what makes coverage merge counter-exactly across work-stealing leases:
+every fresh edge is counted exactly once system-wide, so ``dfs``,
+``jobs=1`` and ``jobs=4`` produce bit-identical counters, as do the
+walk and compiled engines (their
 traces are instruction-for-instruction identical).
 
 Edges are derived, not recorded: the engines only log visited nodes

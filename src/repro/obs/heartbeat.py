@@ -1,8 +1,8 @@
 """Worker heartbeats and stall detection for the parallel search.
 
-A prefix-partitioned parallel search (:mod:`repro.verisoft.parallel`)
-fans subtrees out to worker processes that may run for minutes; without
-telemetry a *hung* worker (deadlocked pool, runaway subtree) is
+The parallel search (:mod:`repro.service.scheduler`) hands subtree
+leases to worker processes that may run for minutes; without
+telemetry a *hung* worker (deadlocked worker, runaway subtree) is
 indistinguishable from a *slow* one.  The heartbeat protocol fixes
 that:
 

@@ -27,17 +27,14 @@ class CommunicationObject:
     """Base class: a named object supporting visible operations."""
 
     kind = "object"
-    #: Whether every mutation in :meth:`perform` records its inverse in
-    #: :attr:`journal` — the contract restore-based backtracking needs.
-    #: Subclasses (including user-defined ones) must opt in explicitly;
-    #: the explorer falls back to replay when any object is unjournalable.
-    journalable = False
 
     def __init__(self, name: str):
         self.name = name
         #: The :class:`~repro.runtime.journal.UndoJournal` mutations are
         #: recorded into (``None`` = journaling off; set by
-        #: :meth:`System.start`).
+        #: :meth:`System.start`).  Every mutation in :meth:`perform` must
+        #: record its inverse here: restore-based backtracking relies on
+        #: it.
         self.journal = None
         #: Dirty counter for incremental fingerprints: every ``perform``
         #: branch that can change :meth:`state_fingerprint` must bump it.
@@ -70,7 +67,6 @@ class FifoChannel(CommunicationObject):
     """
 
     kind = "channel"
-    journalable = True
 
     def __init__(self, name: str, capacity: int = 1):
         super().__init__(name)
@@ -122,7 +118,6 @@ class EnvSink(CommunicationObject):
     """
 
     kind = "channel"
-    journalable = True
 
     def __init__(self, name: str, record_outputs: bool = True, visible_in_state: bool = False):
         super().__init__(name)
@@ -167,7 +162,6 @@ class Semaphore(CommunicationObject):
     """A counting semaphore.  ``sem_p`` blocks when the count is zero."""
 
     kind = "semaphore"
-    journalable = True
 
     def __init__(self, name: str, initial: int = 1):
         super().__init__(name)
@@ -205,7 +199,6 @@ class SharedVar(CommunicationObject):
     """A shared variable with always-enabled atomic ``read``/``write``."""
 
     kind = "shared"
-    journalable = True
 
     def __init__(self, name: str, initial: Any = 0):
         super().__init__(name)

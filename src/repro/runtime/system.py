@@ -223,14 +223,6 @@ class System:
 
     # -- instantiation -------------------------------------------------------------
 
-    def journalable(self) -> bool:
-        """Whether every communication object of this system journals its
-        mutations (see :attr:`CommunicationObject.journalable`) — the
-        precondition for restore-based backtracking."""
-        return all(
-            spec.instantiate().journalable for spec in self._object_specs.values()
-        )
-
     def uses_pointers(self) -> bool:
         """Whether any procedure takes an address (``&``) or dereferences
         (``*``) — the precondition check for incremental fingerprints.

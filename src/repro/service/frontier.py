@@ -199,7 +199,11 @@ def report_from_json(payload: dict) -> ExplorationReport:
             _event_from_json(entry) for entry in payload.get(name, ())
         )
     if "stats" in payload:
-        report.stats = SearchStats(**payload["stats"])
+        stats = dict(payload["stats"])
+        # Written before the static prefix partition was removed; the
+        # lease count it mirrored is still in ``leases``.
+        stats.pop("prefixes", None)
+        report.stats = SearchStats(**stats)
     return report
 
 

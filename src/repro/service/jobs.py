@@ -153,13 +153,14 @@ class Job:
 
     def search_options(self):
         """The job's :class:`~repro.verisoft.search.SearchOptions`,
-        forced onto the work-stealing scheduler (the only driver that
-        can suspend/resume)."""
+        forced onto the parallel strategy (the work-stealing scheduler,
+        which can suspend/resume).  Options persisted before the static
+        partition was removed carry ``scheduler``/``prefix_depth``
+        keys; :class:`SearchOptions` accepts them without storing them."""
         from ..verisoft.search import SearchOptions
 
         options = SearchOptions(**self.options)
         options.strategy = "parallel"
-        options.scheduler = "steal"
         return options
 
     def latest_stats(self) -> dict | None:

@@ -1,10 +1,10 @@
 """The work-stealing scheduler: adaptive sharded exploration.
 
-The static parallel driver (:mod:`repro.verisoft.parallel`) partitions
-the choice tree *once*, by cutting every path at a fixed prefix depth —
-simple and exactly mergeable, but a skewed tree leaves workers idle
-while one unlucky worker grinds through a giant subtree.  This module
-keeps the same stateless-subtree unit of work and makes the partition
+This is the driver behind ``run_search(strategy="parallel")``.  A
+stateless search stores no states, so any subtree of the choice tree
+can be searched by its own process; cutting the tree once at a fixed
+depth would leave workers idle on a skewed tree while one unlucky
+worker grinds through a giant subtree.  The partition is therefore
 *adaptive*:
 
 * Work is handed out as **subtree leases** — fully pinned
@@ -42,12 +42,19 @@ search, modulo the backtracking-cost group (``replays``/
 ``checkpoint_memory_bytes``) and the timing-dependent stealing
 counters (``leases``/``steals``/``leases_requeued``).
 
-Caveats shared with the static driver: per-lease budgets make
-``max_paths``/``max_transitions`` truncate slightly differently (never
-later) than sequential; ``state_cache`` stores are private per lease.
-``options.tracer`` is not supported here (no spans are recorded);
-checkpoints are only produced for clean suspensions, not for
-budget-truncated runs.
+Caveats: per-lease budgets make ``max_paths``/``max_transitions``
+truncate slightly differently (never later) than sequential, so exact
+parity holds for unbudgeted searches; ``state_cache`` stores are
+private per lease, so a state reached in two leases is expanded once
+per lease (violation triage groups still match); checkpoints are only
+produced for clean suspensions, not for budget-truncated runs.
+
+**Tracing.**  With ``options.tracer`` set, each lease records one
+``lease`` span (plus the explorer's per-path spans and event instants)
+into a private :class:`~repro.obs.tracer.Tracer`; the buffer travels
+back as ``report.trace_payload`` and the coordinator splices the
+payloads onto ``options.tracer`` in :func:`prefix_key` order.  Payloads
+are detached at commit, so they never enter a checkpoint.
 """
 
 from __future__ import annotations
@@ -109,6 +116,7 @@ def explore_lease(
     cache_bits: int = 24,
     profile: bool = False,
     coverage: bool = False,
+    trace: bool = False,
     heartbeat_interval: float = 0.5,
 ) -> tuple[ExplorationReport, list[ChoicePrefix], frozenset | None]:
     """Explore the subtree leased by ``prefix`` (``None`` = whole tree).
@@ -122,10 +130,10 @@ def explore_lease(
     canonicalized (:func:`~repro.service.frontier.canonical_fingerprint`)
     so they survive checkpoint round-trips.
 
-    Unlike the static driver's frontier prefixes, a lease prefix pins an
-    *untried* decision at its tip, so the explorer runs in
-    ``prefix_mode="resume"``: the tip's out-edge and everything below it
-    is fresh, counted ground.
+    A lease prefix pins an *untried* decision at its tip: the tip's
+    out-edge and everything below it is fresh, counted ground.  With
+    ``trace`` the lease records one ``lease`` span into a private
+    tracer whose buffer comes back as ``report.trace_payload``.
     """
     profiler = None
     if profile:
@@ -137,6 +145,11 @@ def explore_lease(
         from ..obs import CoverageCollector
 
         collector = CoverageCollector(system)
+    tracer = None
+    if trace:
+        from ..obs import Tracer
+
+        tracer = Tracer()
 
     progress = None
     send = None
@@ -178,16 +191,21 @@ def explore_lease(
         time_budget=time_budget,
         max_events=max_events,
         initial_stack=_thaw(prefix) if prefix is not None else None,
-        prefix_mode="resume",
         yield_check=yield_check,
         fingerprint_set=fingerprints,
         progress=progress,
         progress_interval=heartbeat_interval,
         on_step=profiler,
+        tracer=tracer,
         coverage=collector,
         phase_profile=profiler.phases if profiler is not None else None,
     )
-    report = explorer.run()
+    if tracer is None:
+        report = explorer.run()
+    else:
+        with tracer.span("lease", cat="parallel", lease=lease_index):
+            report = explorer.run()
+        report.trace_payload = tracer.export(label=f"worker-{os.getpid()}")
     residuals: list[ChoicePrefix] = []
     if explorer.suspended and explorer.final_stack is not None:
         residuals = harvest_residual(explorer.final_stack, explorer.final_base)
@@ -404,7 +422,7 @@ def work_stealing_search(
     from ..verisoft.search import SearchOptions
 
     if options is None:
-        options = SearchOptions(strategy="parallel", scheduler="steal")
+        options = SearchOptions(strategy="parallel")
     if overrides:
         from dataclasses import replace
 
@@ -421,18 +439,13 @@ def work_stealing_search(
         else:
             print(f"warning: {message}", file=sys.stderr)
 
-    # Judged on the *requested* job count, once, before any fan-out —
-    # exactly like the static driver (the jobs=0 default never warns).
+    # Judged on the *requested* job count, once, before any fan-out (the
+    # jobs=0 "all cores" default never warns).
     warn_oversubscription(options.jobs, _warn)
 
-    # Resolve the effective modes up front (the per-lease explorers
-    # resolve them identically) so stats are right even if the search
+    # Resolve the effective engine up front (the per-lease explorers
+    # resolve it identically) so stats are right even if the search
     # suspends before any lease completes.
-    resolved_backtrack = (
-        "restore"
-        if options.backtrack == "restore" and system.journalable()
-        else "replay"
-    )
     resolved_engine = (
         "walk"
         if options.engine == "compiled" and system.compiled_program() is None
@@ -442,6 +455,7 @@ def work_stealing_search(
     # -- seed the lease pool (fresh root lease, or a checkpoint) ----------
     pending: list[tuple[tuple[int, ...], int, ChoicePrefix | None]] = []
     blocks: list[tuple[tuple[int, ...], ExplorationReport]] = []
+    trace_payloads: list[tuple[tuple[int, ...], dict]] = []
     fingerprints: set[str] | None = set() if options.count_states else None
     lease_seq = 0
     leases = steals = requeued = 0
@@ -479,6 +493,7 @@ def work_stealing_search(
         cache_bits=options.cache_bits,
         profile=options.profile,
         coverage=options.coverage,
+        trace=options.tracer is not None,
         heartbeat_interval=options.progress_interval,
     )
 
@@ -505,6 +520,9 @@ def work_stealing_search(
         was_steal: bool,
     ) -> None:
         nonlocal lease_seq, leases, steals
+        if report.trace_payload is not None:
+            trace_payloads.append((key, report.trace_payload))
+            report.trace_payload = None
         blocks.append((key, report))
         if live_coverage is not None and report.coverage is not None:
             live_coverage.add(report.coverage)
@@ -536,10 +554,9 @@ def work_stealing_search(
         live = SearchStats.merged(
             [r.stats for _, r in blocks if r.stats is not None],
             strategy="parallel",
-            backtrack=resolved_backtrack,
+            backtrack=options.backtrack,
             engine=resolved_engine,
             jobs=jobs,
-            prefixes=leases,
             leases=leases,
             steals=steals,
             leases_requeued=requeued,
@@ -885,6 +902,9 @@ def work_stealing_search(
     merged = _merge_lease_blocks(
         blocks, max_events=options.max_events, fingerprints=fingerprints
     )
+    if options.tracer is not None:
+        for _, payload in sorted(trace_payloads, key=lambda entry: entry[0]):
+            options.tracer.merge(payload)
     if expired:
         merged.incomplete = True
         merged.truncated = True
@@ -902,10 +922,9 @@ def work_stealing_search(
         merged.checkpoint = build_checkpoint()
 
     merged.stats.strategy = "parallel"
-    merged.stats.backtrack = resolved_backtrack
+    merged.stats.backtrack = options.backtrack
     merged.stats.engine = resolved_engine
     merged.stats.jobs = jobs
-    merged.stats.prefixes = leases
     merged.stats.leases = leases
     merged.stats.steals = steals
     merged.stats.leases_requeued = requeued

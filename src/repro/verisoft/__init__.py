@@ -24,14 +24,11 @@ from .explorer import (
 from .parallel import (
     ChoicePrefix,
     PrefixPoint,
-    enumerate_prefixes,
     harvest_residual,
-    merge_reports,
-    parallel_search,
     prefix_key,
     warn_oversubscription,
 )
-from .search import ENGINES, SCHEDULERS, STRATEGIES, SearchOptions, run_search
+from .search import ENGINES, STRATEGIES, SearchOptions, run_search
 from .stats import ProgressPrinter, SearchStats
 from .por import (
     PersistentSetComputer,
@@ -67,7 +64,6 @@ __all__ = [
     "PrefixPoint",
     "ProgressPrinter",
     "ReplayMismatch",
-    "SCHEDULERS",
     "STRATEGIES",
     "ScheduleChoice",
     "SearchOptions",
@@ -79,13 +75,10 @@ __all__ = [
     "apply_choice",
     "behavior_inclusion",
     "collect_output_traces",
-    "enumerate_prefixes",
     "harvest_residual",
     "independent",
     "matches_with_erasure",
-    "merge_reports",
     "missing_behaviors",
-    "parallel_search",
     "prefix_key",
     "process_footprint",
     "replay",

@@ -14,8 +14,8 @@ over the choice tree.  *How* it backtracks is selectable
   journal (:mod:`repro.runtime.journal`), the explorer checkpoints each
   branching choice point, and backtracking rewinds to the checkpoint in
   O(changes since) instead of re-executing O(depth) transitions.
-  Requires every communication object to be journalable; the search
-  layer falls back to replay otherwise.  The two modes walk the *same*
+  Every built-in communication object journals its mutations.  The two
+  modes walk the *same*
   choice tree — identical states, transitions, events and POR decisions
   — and differ only in the ``replays``/``replayed_transitions``/
   ``restores`` telemetry (see ``docs/backtracking.md``).
@@ -135,10 +135,9 @@ class Explorer:
         backtrack: ``"replay"`` (default; stateless re-execution from the
             initial state) or ``"restore"`` (undo-journal checkpointing:
             backtracking rewinds the live run in O(changes) — see the
-            module docstring).  ``"restore"`` silently degrades to
-            replay when the system is not journalable; both modes visit
-            the identical choice tree and report identical counters
-            apart from ``replays``/``replayed_transitions``/``restores``.
+            module docstring).  Both modes visit the identical choice
+            tree and report identical counters apart from
+            ``replays``/``replayed_transitions``/``restores``.
         engine: the process stepper (see :mod:`repro.runtime.engine`):
             ``"walk"`` (default; the tree-walking reference engine) or
             ``"compiled"`` (CFGs pre-translated to Python closures).
@@ -161,31 +160,25 @@ class Explorer:
             which stores no states; used by the benchmarks to measure
             true state-space sizes).
         stop_on_first: stop at the first deadlock/violation/crash.
-        max_paths / max_transitions / max_seconds: work budgets; the
-            report's ``truncated`` flag is set when one trips.
+        max_paths / max_transitions: work budgets; the report's
+            ``truncated`` flag is set when one trips.
         time_budget: wall-clock budget in seconds, checked at every
-            global state (not merely between paths like ``max_seconds``);
-            when it expires the report is flagged ``incomplete=True``
-            (and ``truncated``) instead of the search running unbounded.
+            global state; when it expires the report is flagged
+            ``incomplete=True`` (and ``truncated``) instead of the
+            search running unbounded.
         max_events: cap on recorded events of each kind (traces can be
             large; counting continues).
         initial_stack: a frozen choice prefix (see
             :mod:`repro.verisoft.parallel`); the search replays it and
             explores only the subtree below — backtracking never climbs
-            above the prefix.  Prefix states/transitions are not
-            re-counted.
-        prefix_mode: how the *last* pinned decision of ``initial_stack``
-            is accounted.  ``"frontier"`` (default; the static parallel
-            partition): the edge into the frontier state was already
-            executed and counted by the coordinator that enumerated the
-            prefix, so the first replay does not re-count it.
-            ``"resume"`` (work-stealing leases and suspended-search
-            resumption, :mod:`repro.service`): the last pinned decision
-            was *never executed* — it is an untried sibling harvested
-            from a suspended DFS stack — so its out-edge and everything
-            below it is fresh ground and is counted, exactly as the
-            sequential search would count it after bumping that choice
-            point.
+            above the prefix.  The states and edges of the prefix are
+            not re-counted.  Its *last* pinned decision was never
+            executed — it is an untried sibling harvested from a
+            suspended DFS stack (work-stealing leases and
+            suspended-search resumption, :mod:`repro.service`) — so its
+            out-edge and everything below it is fresh ground and is
+            counted, exactly as the sequential search would count it
+            after bumping that choice point.
         yield_check: cooperative suspension hook, polled between paths.
             When it returns true *and* untried alternatives remain above
             the frozen prefix, the DFS stops cleanly: :attr:`suspended`
@@ -196,10 +189,6 @@ class Explorer:
             far — every counter and event is final for the explored
             region, so a partial report plus the residual prefixes
             partitions the subtree losslessly.
-        frontier_depth / on_frontier: cut every path at this depth and
-            hand the current choice stack to ``on_frontier`` instead of
-            descending — the prefix-enumeration mode of the parallel
-            driver.
         fingerprint_set: with ``count_states``, collect fingerprints
             into this caller-owned set (so a parallel coordinator can
             union worker sets).
@@ -208,7 +197,7 @@ class Explorer:
         on_step: per-step observer (the hot-spot profiler's hook,
             :class:`repro.obs.profile.HotSpotProfiler`), invoked as
             ``on_step(kind, process, request, depth, fanout, created)``
-            — on every *fresh-edge* visible transition
+            — on every *fresh* visible transition
             (``kind="schedule"``) and on every freshly created
             ``VS_toss`` choice point (``kind="toss"``).  Anchored
             exactly like ``transitions_executed``/``toss_points``, so
@@ -221,8 +210,8 @@ class Explorer:
         coverage: a :class:`repro.obs.coverage.CoverageCollector`; when
             given, every run is started with engine node tracing on and
             the explorer drains each trace segment right after the step
-            that produced it, tagged with the same ``fresh`` /
-            ``fresh_edge`` anchoring as the counters — so coverage from
+            that produced it, tagged with the same ``fresh`` anchoring
+            as the counters — so coverage from
             parallel shards merges counter-exactly and the walk and
             compiled engines produce bit-identical coverage.  ``None``
             (default) costs one branch per step.
@@ -256,16 +245,12 @@ class Explorer:
         stop_on_first: bool = False,
         max_paths: int | None = None,
         max_transitions: int | None = None,
-        max_seconds: float | None = None,
         time_budget: float | None = None,
         max_events: int = 25,
         on_leaf: Callable[[Run, Trace], None] | None = None,
         stop_when: Callable[[ExplorationReport], bool] | None = None,
         initial_stack: list[_ChoicePoint] | None = None,
-        prefix_mode: str = "frontier",
         yield_check: Callable[[], bool] | None = None,
-        frontier_depth: int | None = None,
-        on_frontier: Callable[[list[_ChoicePoint]], None] | None = None,
         fingerprint_set: set[Any] | None = None,
         progress: Callable[[SearchStats], None] | None = None,
         progress_interval: float = 0.5,
@@ -276,12 +261,10 @@ class Explorer:
     ):
         if backtrack not in ("replay", "restore"):
             raise ValueError(f"unknown backtrack mode {backtrack!r}")
-        if prefix_mode not in ("frontier", "resume"):
-            raise ValueError(f"unknown prefix mode {prefix_mode!r}")
         validate_engine(engine)
         self._system = system
         self._max_depth = max_depth
-        self._restore = backtrack == "restore" and system.journalable()
+        self._restore = backtrack == "restore"
         # The engine actually used may degrade to "walk" when the
         # program cannot be compiled; resolve it once so telemetry and
         # every run agree.
@@ -298,13 +281,11 @@ class Explorer:
         self._stop_on_first = stop_on_first
         self._max_paths = max_paths
         self._max_transitions = max_transitions
-        self._max_seconds = max_seconds
         self._time_budget = time_budget
         self._max_events = max_events
         self._on_leaf = on_leaf
         self._stop_when = stop_when
         self._initial_stack = initial_stack
-        self._prefix_mode = prefix_mode
         self._yield_check = yield_check
         #: Set when ``yield_check`` stopped the DFS before exhaustion;
         #: :attr:`final_stack`/:attr:`final_base` then hold the live
@@ -312,8 +293,6 @@ class Explorer:
         self.suspended = False
         self.final_stack: list[_ChoicePoint] | None = None
         self.final_base = 0
-        self._frontier_depth = frontier_depth
-        self._on_frontier = on_frontier
         self._fingerprint_set = fingerprint_set
         self._progress = progress
         self._progress_interval = progress_interval
@@ -393,24 +372,11 @@ class Explorer:
 
         while True:
             try:
-                # On the very first pass over a frozen frontier prefix
-                # nothing has been bumped: the prefix's edges were all
-                # executed (and recorded) by the coordinator that
-                # produced it.  A "resume" prefix instead pins an
-                # *untried* decision at its tip, whose out-edge is fresh
-                # ground (see the ``prefix_mode`` argument).
-                frozen_replay = (
-                    executions == 0 and base > 0 and self._prefix_mode == "frontier"
-                )
                 if self._tracer is None:
-                    self._execute(
-                        stack, report, seen_states, stats, frozen_replay, resume_point
-                    )
+                    self._execute(stack, report, seen_states, stats, resume_point)
                 else:
                     with self._tracer.span("path", cat="dfs", path=executions):
-                        self._execute(
-                            stack, report, seen_states, stats, frozen_replay, resume_point
-                        )
+                        self._execute(stack, report, seen_states, stats, resume_point)
             except _Leaf:
                 pass
             report.paths_explored += 1
@@ -439,9 +405,6 @@ class Explorer:
                 self._max_transitions is not None
                 and report.transitions_executed >= self._max_transitions
             ):
-                report.truncated = True
-                break
-            if self._max_seconds is not None and time.monotonic() - started > self._max_seconds:
                 report.truncated = True
                 break
 
@@ -517,7 +480,6 @@ class Explorer:
         report: ExplorationReport,
         seen_states: set[Any] | None,
         stats: SearchStats,
-        frozen_replay: bool = False,
         resume_point: _ChoicePoint | None = None,
     ) -> None:
         pending_schedule: _ChoicePoint | None = None
@@ -541,14 +503,13 @@ class Explorer:
                 run=run,
                 stack=stack,
                 replay_len=replay_len,
-                edge_replay_len=replay_len + 1 if frozen_replay else replay_len,
                 report=report,
             )
             if coverage is not None:
                 # The initial invisible segments are fresh ground exactly
-                # when nothing precedes them: the sequential first path,
-                # the coordinator's (empty-prefix) enumeration, the root
-                # steal lease.  Prefixed/replayed runs re-execute them.
+                # when nothing precedes them: the sequential first path
+                # or the root lease.  Prefixed/replayed runs re-execute
+                # them.
                 counted = replay_len == 0
                 for process in run.processes:
                     entries = process.engine.take_trace()
@@ -565,9 +526,9 @@ class Explorer:
             # choice point's checkpoint and resume the DFS there.  The
             # execution state is exactly what a replay would have rebuilt
             # on reaching the point: choices/steps truncated to the
-            # prefix, ptr past every stacked point (so ``fresh`` /
-            # ``fresh_edge`` hold on all ground below, as they would
-            # after consuming the bumped point during a replay).
+            # prefix, ptr past every stacked point (so ``fresh`` holds
+            # on all ground below, as it would after consuming the
+            # bumped point during a replay).
             info = resume_point.resume
             state = self._live
             run = state.run
@@ -599,13 +560,13 @@ class Explorer:
                 run.answer_toss(tossing, value)
                 if coverage is not None:
                     # A bumped point sits above the frozen prefix, so
-                    # ``fresh_edge`` holds — same anchoring as a replay
-                    # pass consuming the bumped decision.
-                    if state.fresh_edge:
+                    # ``fresh`` holds — same anchoring as a replay pass
+                    # consuming the bumped decision.
+                    if state.fresh:
                         coverage.toss_value(request.proc_name, request.node_id, value)
                     entries = tossing.engine.take_trace()
                     if entries:
-                        coverage.segment(tossing.name, entries, state.fresh_edge)
+                        coverage.segment(tossing.name, entries, state.fresh)
                 self._note_broken_one(state, tossing)
                 may_toss = True
             else:
@@ -652,23 +613,16 @@ class Explorer:
                         # point creation): each fresh traversal of a toss
                         # arc counts once system-wide.
                         t0 = perf_counter() if phases is not None else 0.0
-                        if state.fresh_edge:
+                        if state.fresh:
                             coverage.toss_value(
                                 request.proc_name, request.node_id, value
                             )
                         entries = tossing.engine.take_trace()
                         if entries:
-                            coverage.segment(tossing.name, entries, state.fresh_edge)
+                            coverage.segment(tossing.name, entries, state.fresh)
                         if phases is not None:
                             phases["coverage"] += perf_counter() - t0
                     self._note_broken_one(state, tossing)
-
-                # Frontier cut: hand the subtree below this state to the
-                # parallel driver instead of descending into it.
-                if self._frontier_depth is not None and depth >= self._frontier_depth:
-                    if self._on_frontier is not None:
-                        self._on_frontier(state.stack)
-                    raise _Leaf()
 
                 # A global state.  Key computation, dedup, store consult,
                 # POR analysis and the leaf checks are all pure functions
@@ -878,14 +832,14 @@ class Explorer:
                 if phases is None:
                     entries = chosen.engine.take_trace()
                     if entries:
-                        coverage.segment(chosen_name, entries, state.fresh_edge)
+                        coverage.segment(chosen_name, entries, state.fresh)
                 else:
                     t0 = perf_counter()
                     entries = chosen.engine.take_trace()
                     if entries:
-                        coverage.segment(chosen_name, entries, state.fresh_edge)
+                        coverage.segment(chosen_name, entries, state.fresh)
                     phases["coverage"] += perf_counter() - t0
-            if state.fresh_edge:
+            if state.fresh:
                 report.transitions_executed += 1
                 if self._on_step is not None:
                     self._on_step(
@@ -901,7 +855,7 @@ class Explorer:
                 )
             state.steps.append(step)
             depth += 1
-            if outcome is not None and outcome.violated and state.fresh_edge:
+            if outcome is not None and outcome.violated and state.fresh:
                 if self._tracer is not None:
                     self._tracer.instant(
                         "assertion-violation",
@@ -1030,16 +984,16 @@ class Explorer:
         report = state.report
         state.noted_broken.add(process.name)
         if status is ProcessStatus.CRASHED:
-            if state.fresh_edge and len(report.crashes) < self._max_events:
+            if state.fresh and len(report.crashes) < self._max_events:
                 report.crashes.append(
                     CrashEvent(state.trace(), process.name, str(process.crash))
                 )
-            elif state.fresh_edge:
+            elif state.fresh:
                 report.crashes.append(CrashEvent(Trace((), ()), process.name, ""))
         else:
-            if state.fresh_edge and len(report.divergences) < self._max_events:
+            if state.fresh and len(report.divergences) < self._max_events:
                 report.divergences.append(DivergenceEvent(state.trace(), process.name))
-            elif state.fresh_edge:
+            elif state.fresh:
                 report.divergences.append(DivergenceEvent(Trace((), ()), process.name))
 
 
@@ -1064,14 +1018,6 @@ class _ExecState:
     stack: list[_ChoicePoint]
     replay_len: int
     report: ExplorationReport
-    #: Replay length for *edge-anchored* recording (transitions executed,
-    #: violations, crashes).  Normally equal to ``replay_len`` — the last
-    #: replayed choice point was freshly bumped, so the edge out of it is
-    #: new ground.  On the first execution over a frozen parallel prefix
-    #: nothing is bumped: every prefix edge (including the one *into* the
-    #: frontier state) was already executed and recorded by the
-    #: coordinator, so edge recording starts one choice later.
-    edge_replay_len: int = 0
     ptr: int = 0
     choices: list[Choice] = field(default_factory=list)
     steps: list[TraceStep] = field(default_factory=list)
@@ -1079,16 +1025,11 @@ class _ExecState:
 
     @property
     def fresh(self) -> bool:
-        """Whether execution has passed the replayed prefix (state-anchored
-        events and statistics are only recorded on fresh ground, so
-        replays do not double-count)."""
+        """Whether execution has passed the replayed prefix (events,
+        statistics and coverage are only recorded on fresh ground, so
+        replays do not double-count).  The last replayed choice point was
+        freshly bumped, so the edge out of it is fresh ground too."""
         return self.ptr >= self.replay_len
-
-    @property
-    def fresh_edge(self) -> bool:
-        """Like :attr:`fresh`, for recording anchored to the transition
-        just executed rather than to the current global state."""
-        return self.ptr >= self.edge_replay_len
 
     def trace(self) -> Trace:
         return Trace(tuple(self.choices), tuple(self.steps))

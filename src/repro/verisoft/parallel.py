@@ -1,4 +1,4 @@
-"""Work-partitioning parallel exploration.
+"""Subtree prefixes: the unit of work of parallel exploration.
 
 VeriSoft's defining property — the explorer stores *no* states and
 backtracks by deterministic replay from the initial state — means that
@@ -7,80 +7,43 @@ independent operating-system processes: a subtree is identified by the
 choice *prefix* leading to its root, and a worker that re-executes the
 prefix owns everything below it with no shared state whatsoever.
 
-The driver has three phases:
+This module holds the prefix vocabulary shared by the work-stealing
+scheduler (:mod:`repro.service.scheduler`, the driver behind
+``run_search(strategy="parallel")``) and the frontier-checkpoint format
+(:mod:`repro.service.frontier`):
 
-1. **Prefix enumeration** (sequential, cheap).  A bounded-depth DFS over
-   the top of the choice tree; every path that survives to
-   ``prefix_depth`` transitions is cut there and its choice stack —
-   including the sleep sets and sibling signatures needed to resume the
-   partial-order reduction exactly — is captured as a
-   :class:`ChoicePrefix`.  Paths that die earlier (deadlock,
-   termination, sleep-set exhaustion) are complete and are accounted to
-   the coordinator's own report.
-
-2. **Fan-out**.  The prefixes are distributed over a
-   :mod:`multiprocessing` pool.  Each worker reconstructs the system
-   (systems are picklable, or rebuilt via ``system_factory``), replays
-   its prefix, and completes the DFS of that subtree with backtracking
-   frozen at the prefix — sleep/persistent sets carry over, so the
-   merged search performs *exactly* the transitions the sequential
-   search would.
-
-3. **Deterministic merge**.  Per-worker reports are merged in prefix
-   enumeration order: counters are summed, events concatenated in
-   stable order and deduplicated by replay trace, distinct-state
-   fingerprints unioned.  ``--jobs 1`` and ``--jobs N`` therefore
-   produce identical reports.
-
-Budget caveat: ``max_paths``/``max_transitions`` are enforced per
-worker and re-checked between worker completions, so a tripped budget
-truncates slightly differently (never *later*) than a sequential run;
-exact parity holds for unbudgeted searches.
-
-State-caching caveat: with ``state_cache`` enabled every worker owns a
-*private* store (:mod:`repro.statespace`) — nothing is shared across
-process boundaries — so a state reached in two different subtrees is
-expanded once per subtree rather than once globally.  A parallel cached
-search therefore prunes *at most* as much as the sequential cached
-search and its transition counters sit between the sequential-cached
-and uncached values; violation triage groups still match, and the
-merged report sums every worker's hit/miss/memory counters.
+* :class:`ChoicePrefix` / :class:`PrefixPoint` — a picklable, fully
+  pinned path to a subtree root, including the sleep sets and sibling
+  signatures needed to resume the partial-order reduction exactly;
+* :func:`harvest_residual` — the unexplored remainder of a suspended
+  DFS as disjoint prefixes, and :func:`_thaw` — the inverse, rebuilding
+  explorer choice points from a prefix;
+* :func:`prefix_key` — the prefix's position in sequential DFS order,
+  which makes the merge deterministic;
+* :func:`_merge_events` — the stable, deduplicating event merge;
+* :func:`warn_oversubscription` — the once-per-search CPU check.
 """
 
 from __future__ import annotations
 
-import contextlib
-import multiprocessing
 import os
-import sys
-import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import Any, Callable, Iterable
 
-from ..runtime.system import System
-from ..statespace.stores import make_store
-from .explorer import Explorer, _ChoicePoint
+from .explorer import _ChoicePoint
 from .por import TransitionSig
 from .results import (
     AssertionViolationEvent,
     CrashEvent,
     DeadlockEvent,
     DivergenceEvent,
-    ExplorationReport,
     Trace,
 )
-from .stats import SearchStats
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .search import SearchOptions
 
 __all__ = [
     "ChoicePrefix",
     "PrefixPoint",
-    "enumerate_prefixes",
     "harvest_residual",
-    "merge_reports",
-    "parallel_search",
     "prefix_key",
     "warn_oversubscription",
 ]
@@ -105,10 +68,10 @@ class PrefixPoint:
 
 @dataclass(frozen=True, slots=True)
 class ChoicePrefix:
-    """A path from the root of the choice tree to a frontier state.
+    """A path from the root of the choice tree to an untried decision.
 
     Replaying the prefix and freezing backtracking at its length makes a
-    worker explore exactly the subtree rooted at the frontier state.
+    worker explore exactly the subtree below that decision.
     """
 
     points: tuple[PrefixPoint, ...]
@@ -150,12 +113,6 @@ def _freeze_point(point: _ChoicePoint, index: int | None = None) -> PrefixPoint:
     )
 
 
-def _snapshot(stack: list[_ChoicePoint]) -> ChoicePrefix:
-    """Deep-copy the live DFS stack (indices mutate as the enumeration
-    backtracks, so the copy must happen at frontier time)."""
-    return ChoicePrefix(tuple(_freeze_point(point) for point in stack))
-
-
 def harvest_residual(
     stack: list[_ChoicePoint], base: int = 0
 ) -> list[ChoicePrefix]:
@@ -170,9 +127,9 @@ def harvest_residual(
     and point ``j`` at alternative ``i`` — the full alternative and
     signature lists are retained, so resuming the prefix reconstructs
     the exact sleep-set context the sequential search would have had on
-    bumping that choice point.  Resumption must use the explorer's
-    ``prefix_mode="resume"`` accounting: the pinned tip decision was
-    never executed, so its out-edge is fresh, countable ground.
+    bumping that choice point.  The pinned tip decision was never
+    executed, so when the explorer resumes the prefix its out-edge is
+    fresh, countable ground.
 
     The prefixes come back in sequential DFS visit order (deepest point
     first, ascending alternative index within a point); their union is
@@ -211,241 +168,7 @@ def _thaw(prefix: ChoicePrefix) -> list[_ChoicePoint]:
 
 
 # ---------------------------------------------------------------------------
-# Phase 1: prefix enumeration
-# ---------------------------------------------------------------------------
-
-
-def enumerate_prefixes(
-    system: System,
-    prefix_depth: int,
-    *,
-    max_depth: int = 100,
-    backtrack: str = "replay",
-    engine: str = "walk",
-    por: bool = True,
-    sleep_sets: bool = True,
-    count_states: bool = False,
-    max_events: int = 25,
-    state_cache: str = "off",
-    cache_bits: int = 24,
-    fingerprint_set: set[Any] | None = None,
-    profile: bool = False,
-    coverage: bool = False,
-    tracer: Any | None = None,
-) -> tuple[list[ChoicePrefix], ExplorationReport]:
-    """Enumerate the frontier of the choice tree at ``prefix_depth``.
-
-    Returns the prefixes in deterministic DFS order plus the
-    coordinator's report covering everything *above* the frontier
-    (frontier states themselves are accounted to the workers).  Paths
-    shorter than the frontier are fully explored here.  With
-    ``state_cache`` the enumeration owns a private, fresh store — its
-    prunes never leak into the workers' subtrees.  With ``profile`` the
-    above-frontier transitions are profiled into ``report.profile``
-    (exactly the fresh edges the sequential search would count there).
-    """
-    prefixes: list[ChoicePrefix] = []
-    profiler = None
-    if profile:
-        from ..obs import HotSpotProfiler
-
-        profiler = HotSpotProfiler()
-    collector = None
-    if coverage:
-        from ..obs import CoverageCollector
-
-        collector = CoverageCollector(system)
-    explorer = Explorer(
-        system,
-        max_depth=max_depth,
-        backtrack=backtrack,
-        engine=engine,
-        por=por,
-        sleep_sets=sleep_sets,
-        state_store=make_store(state_cache, cache_bits=cache_bits),
-        count_states=count_states,
-        max_events=max_events,
-        frontier_depth=prefix_depth,
-        on_frontier=lambda stack: prefixes.append(_snapshot(stack)),
-        fingerprint_set=fingerprint_set,
-        on_step=profiler,
-        tracer=tracer,
-        coverage=collector,
-        phase_profile=profiler.phases if profiler is not None else None,
-    )
-    report = explorer.run()
-    report.profile = profiler
-    report.coverage = collector
-    return prefixes, report
-
-
-# ---------------------------------------------------------------------------
-# Phase 2: workers
-# ---------------------------------------------------------------------------
-
-#: Per-worker-process cache, populated once by the pool initializer so
-#: the system is unpickled (or rebuilt by the factory) once per worker
-#: instead of once per prefix.
-_WORKER_STATE: dict[str, Any] = {}
-
-
-def _init_worker(
-    system_or_factory, worker_kwargs: dict[str, Any], heartbeat_queue: Any = None
-) -> None:
-    if callable(system_or_factory):
-        system = system_or_factory()
-    else:
-        system = system_or_factory
-    _WORKER_STATE["system"] = system
-    _WORKER_STATE["kwargs"] = worker_kwargs
-    _WORKER_STATE["heartbeats"] = heartbeat_queue
-
-
-def _pool_task(
-    indexed_prefix: tuple[int, ChoicePrefix],
-) -> tuple[int, ExplorationReport, frozenset | None]:
-    index, prefix = indexed_prefix
-    report, fingerprints = explore_subtree(
-        _WORKER_STATE["system"],
-        prefix,
-        prefix_index=index,
-        heartbeat_queue=_WORKER_STATE.get("heartbeats"),
-        **_WORKER_STATE["kwargs"],
-    )
-    return index, report, fingerprints
-
-
-def explore_subtree(
-    system: System,
-    prefix: ChoicePrefix,
-    *,
-    max_depth: int = 100,
-    backtrack: str = "replay",
-    engine: str = "walk",
-    por: bool = True,
-    sleep_sets: bool = True,
-    count_states: bool = False,
-    stop_on_first: bool = False,
-    max_paths: int | None = None,
-    max_transitions: int | None = None,
-    time_budget: float | None = None,
-    max_events: int = 25,
-    state_cache: str = "off",
-    cache_bits: int = 24,
-    profile: bool = False,
-    coverage: bool = False,
-    trace: bool = False,
-    tracer: Any | None = None,
-    heartbeat_interval: float = 0.5,
-    prefix_index: int = 0,
-    heartbeat_queue: Any | None = None,
-) -> tuple[ExplorationReport, frozenset | None]:
-    """Complete the DFS below ``prefix`` (the single-worker unit of work).
-
-    Returns the subtree's report and, with ``count_states``, the set of
-    state fingerprints seen (for cross-worker union — fingerprint
-    duplicates across subtrees cannot be detected locally).  With
-    ``state_cache`` each call builds its own fresh store: revisits are
-    pruned within the subtree only (see the module caveat).
-
-    Observability (:mod:`repro.obs`): ``profile`` attaches a
-    :class:`~repro.obs.profile.HotSpotProfiler` as ``report.profile``;
-    ``tracer`` records spans directly into an in-process tracer, while
-    ``trace`` (used across process boundaries, where a live tracer
-    cannot travel) builds a private one and ships its buffer back as
-    ``report.trace_payload``.  ``heartbeat_queue``, when given, receives
-    :class:`~repro.obs.heartbeat.Heartbeat` messages: ``start``/``done``
-    around the subtree and a ``beat`` every ``heartbeat_interval``
-    seconds (piggybacking on the explorer's progress callback).
-    """
-    profiler = None
-    if profile:
-        from ..obs import HotSpotProfiler
-
-        profiler = HotSpotProfiler()
-    collector = None
-    if coverage:
-        from ..obs import CoverageCollector
-
-        collector = CoverageCollector(system)
-    export_trace = False
-    if tracer is None and trace:
-        from ..obs import Tracer
-
-        tracer = Tracer()
-        export_trace = True
-
-    progress = None
-    send = None
-    if heartbeat_queue is not None:
-        from ..obs import Heartbeat
-
-        pid = os.getpid()
-
-        def send(kind: str, states: int, transitions: int) -> None:
-            try:  # a closed/full queue must never sink the worker
-                heartbeat_queue.put_nowait(
-                    Heartbeat(
-                        kind, pid, prefix_index, states, transitions, time.time()
-                    )
-                )
-            except Exception:
-                pass
-
-        def progress(stats: SearchStats) -> None:
-            send(
-                "beat",
-                stats.states_visited,
-                stats.transitions_executed + stats.replayed_transitions,
-            )
-
-        send("start", 0, 0)
-
-    fingerprints: set[Any] | None = set() if count_states else None
-    explorer = Explorer(
-        system,
-        max_depth=max_depth,
-        backtrack=backtrack,
-        engine=engine,
-        por=por,
-        sleep_sets=sleep_sets,
-        state_store=make_store(state_cache, cache_bits=cache_bits),
-        count_states=count_states,
-        stop_on_first=stop_on_first,
-        max_paths=max_paths,
-        max_transitions=max_transitions,
-        time_budget=time_budget,
-        max_events=max_events,
-        initial_stack=_thaw(prefix),
-        fingerprint_set=fingerprints,
-        progress=progress,
-        progress_interval=heartbeat_interval,
-        on_step=profiler,
-        tracer=tracer,
-        coverage=collector,
-        phase_profile=profiler.phases if profiler is not None else None,
-    )
-    if tracer is None:
-        report = explorer.run()
-    else:
-        with tracer.span("subtree", cat="parallel", prefix=prefix_index):
-            report = explorer.run()
-    if send is not None:
-        replayed = report.stats.replayed_transitions if report.stats else 0
-        send(
-            "done",
-            report.states_visited,
-            report.transitions_executed + replayed,
-        )
-    report.profile = profiler
-    report.coverage = collector
-    if export_trace:
-        report.trace_payload = tracer.export(label=f"worker-{os.getpid()}")
-    return report, None if fingerprints is None else frozenset(fingerprints)
-
-
-# ---------------------------------------------------------------------------
-# Phase 3: deterministic merge
+# Deterministic event merge
 # ---------------------------------------------------------------------------
 
 
@@ -489,99 +212,6 @@ def _strip_trace(event):
     return event
 
 
-def merge_reports(
-    coordinator: ExplorationReport,
-    worker_reports: Iterable[ExplorationReport],
-    *,
-    num_prefixes: int,
-    max_events: int = 25,
-    fingerprints: set[Any] | None = None,
-) -> ExplorationReport:
-    """Deterministically merge the coordinator's above-frontier report
-    with the per-subtree worker reports (in prefix enumeration order).
-
-    Counters sum exactly to the sequential search's values: the
-    coordinator counted everything strictly above the frontier, each
-    worker everything at and below its own frontier state, and the
-    coordinator's frontier-cut pseudo-paths (one per prefix) are
-    subtracted from the path total.
-    """
-    workers = list(worker_reports)
-    merged = ExplorationReport()
-    merged.states_visited = coordinator.states_visited
-    merged.transitions_executed = coordinator.transitions_executed
-    merged.toss_points = coordinator.toss_points
-    merged.paths_explored = coordinator.paths_explored - num_prefixes
-    merged.max_depth_reached = coordinator.max_depth_reached
-    merged.truncated = coordinator.truncated
-    merged.incomplete = coordinator.incomplete
-    merged.deadlocks = list(coordinator.deadlocks)
-    merged.violations = list(coordinator.violations)
-    merged.crashes = list(coordinator.crashes)
-    merged.divergences = list(coordinator.divergences)
-
-    for report in workers:
-        merged.states_visited += report.states_visited
-        merged.transitions_executed += report.transitions_executed
-        merged.toss_points += report.toss_points
-        merged.paths_explored += report.paths_explored
-        merged.max_depth_reached = max(merged.max_depth_reached, report.max_depth_reached)
-        merged.truncated = merged.truncated or report.truncated
-        merged.incomplete = merged.incomplete or report.incomplete
-
-    _merge_events(
-        merged.deadlocks, (r.deadlocks for r in workers), max_events, keep_count=False
-    )
-    _merge_events(
-        merged.violations, (r.violations for r in workers), max_events, keep_count=True
-    )
-    _merge_events(
-        merged.crashes, (r.crashes for r in workers), max_events, keep_count=True
-    )
-    _merge_events(
-        merged.divergences, (r.divergences for r in workers), max_events, keep_count=True
-    )
-
-    if fingerprints is not None:
-        merged.distinct_states = len(fingerprints)
-
-    profiles = [
-        r.profile for r in [coordinator, *workers] if r.profile is not None
-    ]
-    if profiles:
-        from ..obs import HotSpotProfiler
-
-        # Counter-for-counter identical to a sequential profile: the
-        # coordinator profiled everything above the frontier, each
-        # worker its own subtree, and the partitions are disjoint.
-        merged.profile = HotSpotProfiler.merged(profiles)
-
-    coverages = [
-        r.coverage for r in [coordinator, *workers] if r.coverage is not None
-    ]
-    if coverages:
-        from ..obs import CoverageCollector
-
-        # Same disjoint-partition argument as the profile: every fresh
-        # edge/node/toss was counted by exactly one shard, so the merged
-        # counters are bit-identical to a sequential run's.
-        merged.coverage = CoverageCollector.merged(coverages)
-
-    parts = [r.stats for r in [coordinator, *workers] if r.stats is not None]
-    merged.stats = SearchStats.merged(parts, strategy="parallel")
-    merged.stats.paths_explored = merged.paths_explored
-    merged.stats.prefixes = num_prefixes
-    if merged.coverage is not None:
-        merged.stats.coverage_nodes = merged.coverage.nodes_covered
-        merged.stats.coverage_nodes_total = merged.coverage.nodes_total
-    return merged
-
-
-# ---------------------------------------------------------------------------
-# The driver
-# ---------------------------------------------------------------------------
-
-
 def warn_oversubscription(
     jobs: int,
     warn: Callable[[str], None],
@@ -591,11 +221,11 @@ def warn_oversubscription(
     """Warn when the worker pool *plus the coordinator process* exceed
     the machine's CPUs.
 
-    Lives in the drivers — emitted exactly once per search, before any
-    fan-out, never per round — so multi-round schedulers (work stealing
-    hands out leases continuously) cannot repeat it.  ``jobs <= 1`` runs
-    in-process with no pool and no separate coordinator, so it never
-    warns.  Returns whether a warning was emitted (for the tests).
+    Emitted exactly once per search, before any fan-out — the
+    work-stealing driver hands out leases continuously, so it must not
+    repeat it per lease.  ``jobs <= 1`` runs in-process with no pool and
+    no separate coordinator, so it never warns.  Returns whether a
+    warning was emitted (for the tests).
     """
     if jobs <= 1:
         return False
@@ -608,349 +238,3 @@ def warn_oversubscription(
         "coordinator process is counted; workers will time-slice"
     )
     return True
-
-
-def _auto_prefix_depth(
-    system: System,
-    jobs: int,
-    *,
-    max_depth: int,
-    backtrack: str,
-    engine: str,
-    por: bool,
-    sleep_sets: bool,
-    max_events: int,
-    state_cache: str,
-    cache_bits: int,
-    profile: bool = False,
-    coverage: bool = False,
-) -> tuple[int, list[ChoicePrefix], ExplorationReport]:
-    """Deepen the frontier until it yields enough prefixes to keep the
-    pool busy (≥4 per worker), or the tree runs out.  Only the kept
-    (deepest) enumeration's profile survives, so probe passes never
-    double-count."""
-    target = max(4 * jobs, jobs)
-    depth_cap = max(1, min(max_depth - 1, 12))
-    best: tuple[int, list[ChoicePrefix], ExplorationReport] | None = None
-    depth = 1
-    while True:
-        prefixes, report = enumerate_prefixes(
-            system,
-            depth,
-            max_depth=max_depth,
-            backtrack=backtrack,
-            engine=engine,
-            por=por,
-            sleep_sets=sleep_sets,
-            max_events=max_events,
-            state_cache=state_cache,
-            cache_bits=cache_bits,
-            profile=profile,
-            coverage=coverage,
-        )
-        best = (depth, prefixes, report)
-        if len(prefixes) >= target or depth >= depth_cap or not prefixes:
-            return best
-        depth += 1
-
-
-def parallel_search(
-    system: System,
-    options: "SearchOptions | None" = None,
-    *,
-    system_factory: Callable[[], System] | None = None,
-    **overrides,
-) -> ExplorationReport:
-    """Explore ``system`` with a pool of stateless worker processes.
-
-    ``options`` is a :class:`~repro.verisoft.search.SearchOptions`
-    (individual fields may be overridden by keyword).  ``jobs=1`` runs
-    the same partition/merge pipeline in-process — useful as the
-    determinism baseline.  For systems that cannot be pickled, pass a
-    top-level ``system_factory`` callable that rebuilds the system
-    inside each worker.
-    """
-    from .search import SearchOptions
-
-    if options is None:
-        options = SearchOptions(strategy="parallel")
-    if overrides:
-        from dataclasses import replace
-
-        options = replace(options, **overrides)
-
-    jobs = options.jobs or os.cpu_count() or 1
-    tracer = options.tracer
-
-    def _warn(message: str) -> None:
-        # Route through the progress printer when it knows how (keeps
-        # the warning from colliding with the self-overwriting ticker),
-        # else fall back to stderr.
-        warn = getattr(options.progress, "warn", None)
-        if warn is not None:
-            warn(message)
-        else:
-            print(f"warning: {message}", file=sys.stderr)
-
-    # Judge oversubscription on the *requested* job count: an explicit
-    # --jobs beyond what the machine can co-schedule alongside the
-    # coordinator warns; the jobs=0 "all cores" default never does.
-    warn_oversubscription(options.jobs, _warn)
-    started = time.monotonic()
-    deadline = None if options.time_budget is None else started + options.time_budget
-
-    fingerprints: set[Any] | None = set() if options.count_states else None
-
-    enumerate_phase = (
-        contextlib.nullcontext()
-        if tracer is None
-        else tracer.phase("enumerate-prefixes")
-    )
-    with enumerate_phase:
-        if options.prefix_depth is not None:
-            prefix_depth = options.prefix_depth
-            prefixes, coordinator = enumerate_prefixes(
-                system,
-                prefix_depth,
-                max_depth=options.max_depth,
-                backtrack=options.backtrack,
-                engine=options.engine,
-                por=options.por,
-                sleep_sets=options.sleep_sets_active,
-                count_states=options.count_states,
-                max_events=options.max_events,
-                state_cache=options.state_cache,
-                cache_bits=options.cache_bits,
-                fingerprint_set=fingerprints,
-                profile=options.profile,
-                coverage=options.coverage,
-                tracer=tracer,
-            )
-        else:
-            prefix_depth, prefixes, coordinator = _auto_prefix_depth(
-                system,
-                jobs,
-                max_depth=options.max_depth,
-                backtrack=options.backtrack,
-                engine=options.engine,
-                por=options.por,
-                sleep_sets=options.sleep_sets_active,
-                max_events=options.max_events,
-                state_cache=options.state_cache,
-                cache_bits=options.cache_bits,
-                profile=options.profile,
-                coverage=options.coverage,
-            )
-            if options.count_states:
-                # Re-enumerate once at the chosen depth to collect the
-                # coordinator's fingerprints (auto-probing skips them).
-                prefixes, coordinator = enumerate_prefixes(
-                    system,
-                    prefix_depth,
-                    max_depth=options.max_depth,
-                    backtrack=options.backtrack,
-                    engine=options.engine,
-                    por=options.por,
-                    sleep_sets=options.sleep_sets_active,
-                    count_states=True,
-                    max_events=options.max_events,
-                    state_cache=options.state_cache,
-                    cache_bits=options.cache_bits,
-                    fingerprint_set=fingerprints,
-                    profile=options.profile,
-                    coverage=options.coverage,
-                    tracer=tracer,
-                )
-
-    worker_kwargs = dict(
-        max_depth=options.max_depth,
-        backtrack=options.backtrack,
-        engine=options.engine,
-        por=options.por,
-        sleep_sets=options.sleep_sets_active,
-        count_states=options.count_states,
-        stop_on_first=options.stop_on_first,
-        max_paths=options.max_paths,
-        max_transitions=options.max_transitions,
-        time_budget=None if deadline is None else max(0.0, deadline - time.monotonic()),
-        max_events=options.max_events,
-        state_cache=options.state_cache,
-        cache_bits=options.cache_bits,
-        profile=options.profile,
-        coverage=options.coverage,
-        trace=tracer is not None,
-        heartbeat_interval=options.progress_interval,
-    )
-
-    indexed = list(enumerate(prefixes))
-    results: list[tuple[ExplorationReport, frozenset | None]] = []
-    stop_early = False  # first-event stop requested and hit
-    expired = False  # wall-clock budget ran out mid-fan-out
-
-    def note_result(report: ExplorationReport, prints: frozenset | None) -> None:
-        results.append((report, prints))
-        if fingerprints is not None and prints is not None:
-            fingerprints.update(prints)
-        if options.progress is not None:
-            live = SearchStats.merged(
-                [r.stats for r, _ in results if r.stats is not None]
-                + ([coordinator.stats] if coordinator.stats else []),
-                strategy="parallel",
-                jobs=jobs,
-                prefixes=len(prefixes),
-            )
-            live.wall_time = time.monotonic() - started
-            options.progress(live)
-
-    fanout_phase = (
-        contextlib.nullcontext()
-        if tracer is None
-        else tracer.phase("fan-out", prefixes=len(prefixes), jobs=jobs)
-    )
-    with fanout_phase:
-        if jobs <= 1 or len(indexed) <= 1:
-            target_system = system_factory() if system_factory is not None else system
-            for index, prefix in indexed:
-                report, prints = explore_subtree(
-                    target_system,
-                    prefix,
-                    prefix_index=index,
-                    tracer=tracer,
-                    **worker_kwargs,
-                )
-                note_result(report, prints)
-                if options.stop_on_first and not report.ok:
-                    stop_early = True
-                    break
-                if deadline is not None and time.monotonic() > deadline:
-                    expired = True
-                    break
-        else:
-            ordered: dict[int, tuple[ExplorationReport, frozenset | None]] = {}
-
-            monitor = None
-            heartbeat_queue = None
-            if options.progress is not None or options.stall_timeout is not None:
-                from ..obs import HeartbeatMonitor
-
-                heartbeat_queue = multiprocessing.Queue()
-                monitor = HeartbeatMonitor(
-                    stall_timeout=options.stall_timeout, on_warn=_warn
-                )
-
-            def fanout_tick() -> None:
-                """Between completions: fold in heartbeats, surface
-                per-worker health, refresh the live ticker."""
-                if monitor is None:
-                    return
-                monitor.drain(heartbeat_queue)
-                monitor.check_stalls()
-                if options.progress is None:
-                    return
-                worker_lines = getattr(options.progress, "worker_lines", None)
-                if worker_lines is not None:
-                    worker_lines(monitor.lines())
-                live = SearchStats.merged(
-                    [r.stats for r, _ in ordered.values() if r.stats is not None]
-                    + ([coordinator.stats] if coordinator.stats else []),
-                    strategy="parallel",
-                    jobs=jobs,
-                    prefixes=len(prefixes),
-                )
-                inflight_states, inflight_transitions = monitor.inflight()
-                live.states_visited += inflight_states
-                live.transitions_executed += inflight_transitions
-                live.wall_time = time.monotonic() - started
-                options.progress(live)
-
-            pool = multiprocessing.Pool(
-                processes=min(jobs, len(indexed)),
-                initializer=_init_worker,
-                initargs=(
-                    system_factory if system_factory is not None else system,
-                    worker_kwargs,
-                    heartbeat_queue,
-                ),
-            )
-            try:
-                completions = pool.imap_unordered(_pool_task, indexed)
-                tick = max(0.05, min(options.progress_interval, 1.0))
-                remaining = len(indexed)
-                while remaining:
-                    try:
-                        index, report, prints = completions.next(timeout=tick)
-                    except multiprocessing.TimeoutError:
-                        # No completion this tick — service heartbeats so
-                        # stalls surface while workers are busy.
-                        fanout_tick()
-                        if deadline is not None and time.monotonic() > deadline:
-                            expired = True
-                            break
-                        continue
-                    except StopIteration:  # pragma: no cover - defensive
-                        break
-                    remaining -= 1
-                    ordered[index] = (report, prints)
-                    fanout_tick()
-                    if options.stop_on_first and not report.ok:
-                        stop_early = True
-                        break
-                    if deadline is not None and time.monotonic() > deadline:
-                        expired = True
-                        break
-            finally:
-                if stop_early or expired:
-                    pool.terminate()
-                else:
-                    pool.close()
-                pool.join()
-                if monitor is not None:
-                    monitor.drain(heartbeat_queue)
-                if heartbeat_queue is not None:
-                    heartbeat_queue.close()
-            # Deterministic merge order regardless of completion order.
-            for index in sorted(ordered):
-                note_result(*ordered[index])
-
-    merge_phase = (
-        contextlib.nullcontext() if tracer is None else tracer.phase("merge")
-    )
-    with merge_phase:
-        if tracer is not None:
-            # Splice the worker timelines (shipped back as plain-dict
-            # payloads) onto the coordinator's trace, in prefix order.
-            for report, _ in results:
-                if report.trace_payload is not None:
-                    tracer.merge(report.trace_payload)
-                    report.trace_payload = None
-        merged = merge_reports(
-            coordinator,
-            [report for report, _ in results],
-            num_prefixes=len(prefixes),
-            max_events=options.max_events,
-            fingerprints=fingerprints,
-        )
-    if expired:
-        # The budget cut the fan-out short: some subtrees were never
-        # searched, matching the sequential explorer's incomplete flag.
-        merged.incomplete = True
-        merged.truncated = True
-
-    merged.stats.strategy = "parallel"
-    # Report the *effective* modes: the coordinator's explorer already
-    # resolved any journalability/compilability fallback, identically to
-    # the workers.
-    if coordinator.stats is not None:
-        merged.stats.backtrack = coordinator.stats.backtrack
-        merged.stats.engine = coordinator.stats.engine
-    merged.stats.jobs = jobs
-    merged.stats.prefixes = len(prefixes)
-    merged.stats.wall_time = time.monotonic() - started
-    merged.options = options  # self-reproducing, like run_search reports
-    if options.state_cache != "off":
-        merged.stats.state_cache = options.state_cache
-        merged.state_caching = {
-            **(options.state_caching_info() or {}),
-            "per_worker_stores": True,
-        }
-    return merged

@@ -18,7 +18,7 @@ dataclass and :func:`run_search` dispatches on ``options.strategy``:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import InitVar, dataclass, field, fields, replace
 from typing import Any, Callable
 
 from ..runtime.engine import ENGINES
@@ -35,9 +35,6 @@ CACHE_MODES = ("safe", "unsafe-fast")
 #: The DFS backtracking modes (see :attr:`SearchOptions.backtrack`).
 BACKTRACK_MODES = ("restore", "replay")
 
-#: The parallel scheduling modes (see :attr:`SearchOptions.scheduler`).
-SCHEDULERS = ("static", "steal")
-
 # Re-exported from :mod:`repro.runtime.engine` so the search layer's
 # mode tuples (STRATEGIES, CACHE_MODES, BACKTRACK_MODES, ENGINES) live
 # side by side for CLI/choice wiring.
@@ -45,7 +42,6 @@ __all__ = [
     "BACKTRACK_MODES",
     "CACHE_MODES",
     "ENGINES",
-    "SCHEDULERS",
     "STRATEGIES",
     "SearchOptions",
     "run_search",
@@ -63,7 +59,8 @@ class SearchOptions:
 
     #: ``"dfs"`` (exhaustive, bounded-depth, stateless),
     #: ``"random"`` (independent random walks), or
-    #: ``"parallel"`` (prefix-partitioned multi-process DFS).
+    #: ``"parallel"`` (multi-process DFS over work-stealing subtree
+    #: leases, :mod:`repro.service.scheduler`).
     strategy: str = "dfs"
 
     # -- shared bounds and budgets -----------------------------------------
@@ -74,10 +71,9 @@ class SearchOptions:
     #: How the DFS backtracks (dfs/parallel): ``"restore"`` (default;
     #: undo-journal checkpointing — backtracking rewinds the live run in
     #: O(changes) instead of re-executing the path prefix) or
-    #: ``"replay"`` (classic VeriSoft stateless re-execution).  Restore
-    #: automatically falls back to replay when any communication object
-    #: is not journalable.  Both modes explore the identical choice tree
-    #: and report identical counters apart from
+    #: ``"replay"`` (classic VeriSoft stateless re-execution).  Both
+    #: modes explore the identical choice tree and report identical
+    #: counters apart from
     #: ``replays``/``replayed_transitions``/``restores``.
     backtrack: str = "restore"
     #: Which execution engine steps each process (all strategies):
@@ -126,22 +122,13 @@ class SearchOptions:
 
     # -- parallel strategy --------------------------------------------------
     #: Worker processes; 0 means ``os.cpu_count()``.  ``jobs=1`` runs the
-    #: partition/merge pipeline in-process (the determinism baseline).
+    #: lease loop in-process (the determinism baseline).
     jobs: int = 0
-    #: Depth of the sequential prefix enumeration; ``None`` auto-tunes
-    #: until there are enough prefixes to keep the pool busy.
-    prefix_depth: int | None = None
-    #: How the parallel strategy schedules subtrees over the pool:
-    #: ``"static"`` (default; one up-front prefix partition at
-    #: ``prefix_depth``, :mod:`repro.verisoft.parallel`) or ``"steal"``
-    #: (work stealing over serialized subtree leases,
-    #: :mod:`repro.service.scheduler` — idle workers split running ones,
-    #: dead workers' leases are re-queued, and the whole search can be
-    #: suspended to a frontier checkpoint and resumed later).  Both
-    #: produce reports counter-for-counter identical to sequential
-    #: search, modulo the backtracking-cost group.  ``prefix_depth`` is
-    #: ignored by ``"steal"`` (the partition is adaptive).
-    scheduler: str = "static"
+    #: Accepted, never stored: options persisted before the static
+    #: prefix partition was removed carry ``scheduler="steal"`` and
+    #: ``prefix_depth=None``.  Any other value raises ``ValueError``.
+    scheduler: InitVar[str | None] = None
+    prefix_depth: InitVar[int | None] = None
 
     # -- telemetry -----------------------------------------------------------
     #: Periodic callback receiving the live :class:`SearchStats`
@@ -180,6 +167,20 @@ class SearchOptions:
     stop_when: Callable[[ExplorationReport], bool] | None = field(
         default=None, repr=False, compare=False
     )
+
+    def __post_init__(self, scheduler: str | None, prefix_depth: int | None) -> None:
+        if scheduler not in (None, "steal"):
+            raise ValueError(
+                f"scheduler={scheduler!r}: the scheduler option was removed "
+                "with the static prefix partition; every parallel search runs "
+                "on the work-stealing scheduler"
+            )
+        if prefix_depth is not None:
+            raise ValueError(
+                f"prefix_depth={prefix_depth!r}: the prefix_depth option was "
+                "removed with the static prefix partition; the work-stealing "
+                "scheduler splits the tree adaptively"
+            )
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-serializable snapshot of the options.
@@ -257,19 +258,12 @@ class SearchOptions:
                 f"unknown execution engine {self.engine!r}; "
                 f"expected one of {', '.join(ENGINES)}"
             )
-        if self.scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown parallel scheduler {self.scheduler!r}; "
-                f"expected one of {', '.join(SCHEDULERS)}"
-            )
         if self.strategy == "parallel":
             if self.on_leaf is not None or self.stop_when is not None:
                 raise ValueError(
                     "on_leaf/stop_when callbacks cannot cross process "
                     "boundaries; use strategy='dfs' or drop the callback"
                 )
-            if self.prefix_depth is not None and self.prefix_depth < 0:
-                raise ValueError("prefix_depth must be >= 0")
             if self.jobs < 0:
                 raise ValueError("jobs must be >= 0 (0 = all cores)")
 
@@ -320,6 +314,11 @@ def _dispatch(
     options: SearchOptions,
     system_factory: Callable[[], System] | None,
 ) -> ExplorationReport:
+    if options.strategy == "parallel":
+        from ..service.scheduler import work_stealing_search
+
+        return work_stealing_search(system, options, system_factory=system_factory)
+
     profiler = None
     if options.profile:
         from ..obs import HotSpotProfiler
@@ -361,33 +360,23 @@ def _dispatch(
         report.coverage = collector
         return report
 
-    if options.strategy == "random":
-        from .random_walk import random_walks
+    from .random_walk import random_walks
 
-        report = random_walks(
-            system,
-            walks=options.walks,
-            max_depth=options.max_depth,
-            seed=options.seed,
-            engine=options.engine,
-            max_events=options.max_events,
-            stop_on_first=options.stop_on_first,
-            time_budget=options.time_budget,
-            progress=options.progress,
-            progress_interval=options.progress_interval,
-            on_step=profiler,
-            tracer=options.tracer,
-            coverage=collector,
-        )
-        report.profile = profiler
-        report.coverage = collector
-        return report
-
-    if options.scheduler == "steal":
-        from ..service.scheduler import work_stealing_search
-
-        return work_stealing_search(system, options, system_factory=system_factory)
-
-    from .parallel import parallel_search
-
-    return parallel_search(system, options, system_factory=system_factory)
+    report = random_walks(
+        system,
+        walks=options.walks,
+        max_depth=options.max_depth,
+        seed=options.seed,
+        engine=options.engine,
+        max_events=options.max_events,
+        stop_on_first=options.stop_on_first,
+        time_budget=options.time_budget,
+        progress=options.progress,
+        progress_interval=options.progress_interval,
+        on_step=profiler,
+        tracer=options.tracer,
+        coverage=collector,
+    )
+    report.profile = profiler
+    report.coverage = collector
+    return report

@@ -45,7 +45,7 @@ class SearchStats:
       the stateless backtracking performed and how many transitions were
       spent merely reconstructing a known prefix (the paper's price for
       storing no states).  Both ``0`` in restore mode, except that
-      parallel workers still replay their frozen prefix once.
+      parallel workers still replay each lease's prefix once.
     * ``restores`` / ``undo_entries`` / ``checkpoint_memory_bytes`` —
       restore-mode telemetry: journal rewinds performed, undo entries
       recorded, and the accounting-model peak footprint of the journal
@@ -56,12 +56,11 @@ class SearchStats:
       reduction is working (1.0 = no reduction).
     * ``sleep_prunes`` — transitions skipped because their signature was
       asleep.
-    * ``prefixes`` / ``jobs`` — parallel-driver shape (0/1 for
-      sequential strategies).  The work-stealing scheduler
-      (:mod:`repro.service.scheduler`) reports its total lease count as
-      ``prefixes``.
+    * ``jobs`` — worker processes of a parallel search (1 for
+      sequential strategies).
     * ``leases`` / ``steals`` / ``leases_requeued`` — work-stealing
-      telemetry (all 0 under the static partition and the sequential
+      telemetry of the parallel strategy
+      (:mod:`repro.service.scheduler`; all 0 for the sequential
       strategies): subtree leases issued over the search's lifetime,
       how many of them were split off a busy worker by a steal request,
       and how many were re-queued because the worker holding them died.
@@ -95,7 +94,6 @@ class SearchStats:
     wall_time: float = 0.0
     cpu_time: float = 0.0
     jobs: int = 1
-    prefixes: int = 0
     leases: int = 0
     steals: int = 0
     leases_requeued: int = 0
@@ -199,7 +197,7 @@ class SearchStats:
           merging;
         * ``max_depth_reached`` is the maximum, not the sum;
         * the *receiver* keeps its identity fields — ``strategy``,
-          ``backtrack``, ``engine``, ``jobs``, ``prefixes`` and the
+          ``backtrack``, ``engine``, ``jobs`` and the
           work-stealing counters (``leases``/``steals``/
           ``leases_requeued``) describe the merged search, not any one
           part, so ``other``'s values are ignored (the drivers set them
@@ -272,7 +270,7 @@ class SearchStats:
         """Multi-line post-run summary (CLI, benchmark tables)."""
         lines = [
             f"strategy:        {self.strategy}"
-            + (f" (jobs={self.jobs}, prefixes={self.prefixes})" if self.jobs > 1 else ""),
+            + (f" (jobs={self.jobs}, leases={self.leases})" if self.jobs > 1 else ""),
             f"states visited:  {self.states_visited}",
             f"transitions:     {self.transitions_executed}",
             f"toss points:     {self.toss_points}",

@@ -4,9 +4,11 @@ Contract: ``IncrementalReplayer(system).run_choices(c)`` is observably
 identical to ``run_choices(system, c)`` for *any* sequence of queries —
 same ok/applied/signatures/steps on every candidate, regardless of how
 the candidates relate — while executing only the suffix past the common
-prefix with the previous query.  The shrink pipeline wires it in on
-journalable systems and reports the reuse telemetry.
+prefix with the previous query.  The shrink pipeline runs its oracle
+on it and reports the reuse telemetry.
 """
+
+import importlib
 
 import pytest
 
@@ -116,12 +118,6 @@ class TestEquivalence:
             run_choices(figure_system(FIG2_SRC, "p"), variant), outcome
         )
 
-    def test_requires_journalable_system(self, monkeypatch):
-        system = deadlock_system()
-        monkeypatch.setattr(type(system), "journalable", lambda self: False)
-        with pytest.raises(ValueError, match="journalable"):
-            IncrementalReplayer(system)
-
 
 class TestShrinkIntegration:
     def test_shrink_uses_incremental_oracle_and_reports_reuse(self):
@@ -133,7 +129,6 @@ class TestShrinkIntegration:
         assert outcome.ok and outcome.events
         event = outcome.events[0]
         result = shrink(noisy_assert_system(), event)
-        assert result.incremental
         assert result.oracle_choices_reused > 0
         assert "reused from checkpoints" in result.describe()
         # The minimized trace still reproduces on a *plain* replay.
@@ -142,16 +137,26 @@ class TestShrinkIntegration:
         assert event_signature(event) in outcome.signatures()
 
     def test_shrink_result_unchanged_by_oracle_substrate(self, monkeypatch):
-        """Checkpoint reuse is a pure speedup: forcing the plain oracle
-        must give the identical minimal trace and query count."""
+        """Checkpoint reuse is a pure speedup: a plain from-scratch
+        oracle must give the identical minimal trace and query count."""
         event = first_event(noisy_assert_system())
         fast = shrink(noisy_assert_system(), event)
 
-        from repro.runtime.system import System as RuntimeSystem
+        # The package re-exports the shrink() function under the
+        # submodule's name, so fetch the module itself.
+        shrink_module = importlib.import_module("repro.counterex.shrink")
 
-        monkeypatch.setattr(RuntimeSystem, "journalable", lambda self: False)
+        class PlainReplayer:
+            choices_applied = choices_reused = 0
+
+            def __init__(self, system):
+                self._system = system
+
+            def run_choices(self, choices):
+                return run_choices(self._system, choices)
+
+        monkeypatch.setattr(shrink_module, "IncrementalReplayer", PlainReplayer)
         slow = shrink(noisy_assert_system(), event)
-        assert not slow.incremental
         assert slow.oracle_choices_reused == 0
         assert slow.trace.choices == fast.trace.choices
         assert slow.oracle_runs == fast.oracle_runs

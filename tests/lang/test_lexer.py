@@ -126,6 +126,11 @@ class TestStrings:
         with pytest.raises(LexError):
             tokenize("'abc")
 
+    @pytest.mark.parametrize("source", ["'\\", '"\\', "'ab\\"])
+    def test_backslash_at_end_of_input_is_unterminated(self, source):
+        with pytest.raises(LexError, match="unterminated string literal"):
+            tokenize(source)
+
     def test_newline_in_string_raises(self):
         with pytest.raises(LexError):
             tokenize("'ab\ncd'")

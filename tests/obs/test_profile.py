@@ -55,7 +55,6 @@ class TestParallelParity:
             deadlock_system(),
             strategy="parallel",
             jobs=2,
-            prefix_depth=2,
             max_depth=20,
         )
         assert counters(sequential) == counters(parallel)

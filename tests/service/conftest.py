@@ -32,7 +32,6 @@ NON_PARITY_FIELDS = {
     "wall_time",
     "cpu_time",
     "jobs",
-    "prefixes",
     "leases",
     "steals",
     "leases_requeued",

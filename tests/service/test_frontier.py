@@ -38,9 +38,7 @@ def _suspended_checkpoint(system, paths_before_stop=2, **options):
 
     report = work_stealing_search(
         system,
-        SearchOptions(
-            strategy="parallel", scheduler="steal", jobs=1, **options
-        ),
+        SearchOptions(strategy="parallel", jobs=1, **options),
         should_suspend=stop_soon,
     )
     assert report.incomplete
@@ -87,6 +85,17 @@ class TestReportCodec:
         assert [e.trace.choices for e in again.all_events()] == [
             e.trace.choices for e in report.all_events()
         ]
+        assert again.stats.as_dict() == report.stats.as_dict()
+
+    def test_stats_with_removed_prefixes_field_load(self):
+        # Lease blocks checkpointed before the static partition was
+        # removed carry a "prefixes" stats counter.
+        report = run_search(
+            fig3_system(), SearchOptions(strategy="dfs", max_depth=40)
+        )
+        doc = report_to_json(report)
+        doc["stats"]["prefixes"] = 3
+        again = report_from_json(doc)
         assert again.stats.as_dict() == report.stats.as_dict()
 
 
@@ -163,7 +172,6 @@ class TestResumeParity:
             fig3_system(),
             SearchOptions(
                 strategy="parallel",
-                scheduler="steal",
                 jobs=1,
                 engine=engine,
                 count_states=True,
@@ -184,7 +192,6 @@ class TestResumeParity:
         )
         options = dict(
             strategy="parallel",
-            scheduler="steal",
             jobs=1,
             count_states=True,
             max_depth=40,

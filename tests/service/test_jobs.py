@@ -47,7 +47,7 @@ def _options(**kwargs):
     kwargs.setdefault("count_states", True)
     kwargs.setdefault("max_depth", 60)
     kwargs.setdefault("jobs", 1)
-    return SearchOptions(strategy="parallel", scheduler="steal", **kwargs)
+    return SearchOptions(strategy="parallel", **kwargs)
 
 
 def _submit_fig3(store, **options):
@@ -65,7 +65,7 @@ class TestJobStore:
         again = JobStore(tmp_path).get(job.id)
         assert again.state == "queued"
         assert again.system["program_source"] == FIG3_SRC
-        assert again.search_options().scheduler == "steal"
+        assert again.search_options().strategy == "parallel"
 
     def test_submit_embeds_program_from_base_dir(self, tmp_path):
         (tmp_path / "fig3.rc").write_text(FIG3_SRC)
@@ -124,6 +124,55 @@ class TestJobLifecycle:
         assert isinstance(system, System)
         base = run_search(
             system, SearchOptions(strategy="dfs", count_states=True, max_depth=60)
+        )
+        for field in ("paths_explored", "states_visited", "transitions_executed"):
+            assert result["stats"][field] == getattr(base.stats, field)
+
+    def test_job_written_before_the_static_partition_was_removed_runs(
+        self, tmp_path
+    ):
+        # job.json exactly as an older store wrote it: its options still
+        # carry the removed "scheduler"/"prefix_depth" keys.
+        job_dir = tmp_path / "job-0123456789ab"
+        job_dir.mkdir()
+        old_options = {
+            "strategy": "parallel", "max_depth": 60, "por": True,
+            "backtrack": "restore", "engine": "walk", "count_states": True,
+            "stop_on_first": False, "max_paths": None, "max_transitions": None,
+            "time_budget": None, "max_events": 25, "state_cache": "off",
+            "cache_bits": 24, "cache_mode": "safe", "walks": 100, "seed": 0,
+            "jobs": 1, "prefix_depth": None, "scheduler": "steal",
+            "progress_interval": 0.5, "profile": False, "coverage": False,
+            "stall_timeout": 10.0,
+        }
+        (job_dir / "job.json").write_text(
+            json.dumps(
+                {
+                    "id": job_dir.name,
+                    "name": "fig3",
+                    "state": "queued",
+                    "created": 1.0,
+                    "updated": 1.0,
+                    "system": {
+                        "description": FIG3_DESCRIPTION,
+                        "program_source": FIG3_SRC,
+                    },
+                    "options": old_options,
+                    "error": None,
+                }
+            )
+        )
+        store = JobStore(tmp_path)
+        options = store.get(job_dir.name).search_options()
+        assert "scheduler" not in options.as_dict()
+        assert "prefix_depth" not in options.as_dict()
+        assert serve(store, once=True) == 1
+        job = store.get(job_dir.name)
+        assert job.state == "done", job.error
+        result = json.loads(job.result_path.read_text())
+        base = run_search(
+            job.build_system(),
+            SearchOptions(strategy="dfs", count_states=True, max_depth=60),
         )
         for field in ("paths_explored", "states_visited", "transitions_executed"):
             assert result["stats"][field] == getattr(base.stats, field)

@@ -11,7 +11,7 @@ import pytest
 
 from repro import SearchOptions, run_search
 from repro.service import work_stealing_search
-from repro.verisoft import SCHEDULERS, SearchStats
+from repro.verisoft import SearchStats
 
 from .conftest import (
     assert_report_parity,
@@ -25,23 +25,27 @@ from .conftest import (
 def _steal_options(jobs=1, **kwargs):
     kwargs.setdefault("count_states", True)
     kwargs.setdefault("max_depth", 40)
-    return SearchOptions(
-        strategy="parallel", scheduler="steal", jobs=jobs, **kwargs
-    )
+    return SearchOptions(strategy="parallel", jobs=jobs, **kwargs)
 
 
 class TestSchedulerOption:
-    def test_registry(self):
-        assert SCHEDULERS == ("static", "steal")
+    def test_removed_static_partition_rejected(self):
+        with pytest.raises(ValueError, match="removed"):
+            SearchOptions(strategy="parallel", scheduler="static")
+        with pytest.raises(ValueError, match="prefix_depth"):
+            SearchOptions(strategy="parallel", prefix_depth=2)
 
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(ValueError):
             run_search(fig3_system(), SearchOptions(scheduler="lifo"))
 
-    def test_scheduler_recorded_in_options_dict(self):
-        options = _steal_options()
-        assert options.as_dict()["scheduler"] == "steal"
-        assert SearchOptions(**options.as_dict()).scheduler == "steal"
+    def test_legacy_scheduler_accepted_not_recorded(self):
+        options = SearchOptions(
+            strategy="parallel", scheduler="steal", prefix_depth=None, jobs=1
+        )
+        assert "scheduler" not in options.as_dict()
+        assert "prefix_depth" not in options.as_dict()
+        assert SearchOptions(**options.as_dict()) == options
 
 
 class TestInProcessParity:

@@ -7,8 +7,8 @@ itself* (``replays``/``replayed_transitions`` vs
 ``restores``/``undo_entries``/``checkpoint_memory_bytes``).  These
 tests assert that contract on the paper's systems (Figure 2, Figure 3,
 the bounded 5ESS application), on a seeded generator of random tiny
-closed systems, and through the parallel driver and the state-cache
-safe mode.
+closed systems, and through the parallel (work-stealing) strategy and
+the state-cache safe mode.
 """
 
 import random
@@ -25,7 +25,8 @@ from tests.statespace.conftest import (
     triage_signatures,
 )
 
-#: SearchStats fields that measure *how* the search backtracked rather
+#: SearchStats fields that measure *how* the search backtracked (or, for
+#: the work-stealing counters, how timing split it into leases) rather
 #: than *what* it explored; everything else must match exactly.
 MODE_SPECIFIC = {
     "backtrack",
@@ -36,6 +37,9 @@ MODE_SPECIFIC = {
     "checkpoint_memory_bytes",
     "wall_time",
     "cpu_time",
+    "leases",
+    "steals",
+    "leases_requeued",
 }
 
 
@@ -55,12 +59,15 @@ def assert_equivalent(replay_report, restore_report):
     assert triage_signatures(replay_report) == triage_signatures(restore_report)
     assert replay_report.summary() == restore_report.summary()
 
-    # Restore mode never re-executes in sequential DFS; the parallel
-    # driver still replays the frozen prefixes (and nothing else counts
-    # them), so there `replays` stays 0 while some replayed transitions
-    # may remain.
+    # Restore mode never re-executes: `replays` stays 0 even where the
+    # parallel strategy replays each lease's prefix once.
     assert restore_report.stats.replays == 0
-    if replay_report.stats.replays:  # the search backtracked at all
+    # Whether restore mode had anything to rewind depends on how the
+    # tree was split.  Only sequential DFS and jobs=1 split it the same
+    # way in both modes; with more workers a lease can be stolen down to
+    # a single path, which backtracks nowhere.
+    deterministic = restore_report.stats.jobs == 1
+    if deterministic and replay_report.stats.replays:
         assert restore_report.stats.restores > 0
 
 
@@ -207,18 +214,6 @@ class TestRandomizedParity:
 
 
 class TestFallback:
-    def test_unjournalable_system_falls_back_to_replay(self, monkeypatch):
-        """A system with a non-journalable object silently degrades to
-        replay mode (and says so in the reported stats)."""
-        from repro.runtime.system import System as RuntimeSystem
-
-        monkeypatch.setattr(RuntimeSystem, "journalable", lambda self: False)
-        system = figure_system(FIG2_SRC, "p")
-        report = run_search(system, SearchOptions(backtrack="restore", max_depth=60))
-        assert report.stats.backtrack == "replay"
-        assert report.stats.replays > 0
-        assert report.stats.restores == 0
-
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="backtrack"):
             run_search(

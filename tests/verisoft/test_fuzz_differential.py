@@ -22,7 +22,7 @@ and the configurations must agree exactly:
   exact sequential report, distinct-state fingerprint count included.
 
 The generator emits only bounded loops (no divergence) and avoids
-pointers, so every generated system is journalable and compilable and
+pointers, so every generated system is compilable and
 the incremental fingerprint path (not the pointer-gated fallback) is
 the one under test.
 """
@@ -96,8 +96,8 @@ def _statements(rng: random.Random, depth: int) -> list[str]:
 
 
 def random_system(seed: int) -> System:
-    """A seeded random closed two-process system (journalable,
-    compilable, divergence-free)."""
+    """A seeded random closed two-process system (compilable,
+    divergence-free)."""
     rng = random.Random(seed)
     procs = []
     for index in range(2):
@@ -141,7 +141,6 @@ class TestEngineFingerprintLockstep:
         runs = []
         for engine in ("walk", "compiled"):
             system = random_system(seed)
-            assert system.journalable()
             assert system.compiled_program() is not None
             run = system.start(journal=True, engine=engine)
             run.start_processes()
@@ -249,7 +248,6 @@ class TestKilledWorkerFuzz:
             random_system(seed),
             SearchOptions(
                 strategy="parallel",
-                scheduler="steal",
                 jobs=2,
                 count_states=True,
                 max_depth=14,

@@ -1,24 +1,21 @@
-"""Tests for parallel stateless exploration (repro.verisoft.parallel).
+"""Tests for parallel stateless exploration (``strategy="parallel"``).
 
-The partition scheme must be *exact*: enumerating prefixes, completing
-each subtree independently and merging the reports has to reproduce the
-sequential DFS report counter for counter and event for event.  The
-determinism tests pin that guarantee on the paper's Figure 2/3 programs.
+The partition must be *exact*: searching disjoint subtree leases
+independently and merging the reports has to reproduce the sequential
+DFS report counter for counter and event for event.  The determinism
+tests pin that guarantee on the paper's Figure 2/3 programs.
 """
 
+import json
 import pickle
 
 import pytest
 
 from tests.helpers import dfs_search
-from repro import SearchOptions, System, close_program, run_search
-from repro.verisoft import (
-    ChoicePrefix,
-    enumerate_prefixes,
-    merge_reports,
-    parallel_search,
-)
-from repro.verisoft.parallel import explore_subtree
+from repro import SearchOptions, System, Tracer, close_program, run_search
+from repro.obs import validate_chrome_trace
+from repro.service.scheduler import _merge_lease_blocks, explore_lease
+from repro.verisoft import ChoicePrefix, prefix_key
 
 P_SRC = """
 proc p(x) {
@@ -93,108 +90,94 @@ def deadlock_system():
     return system
 
 
+def suspended_lease(system, paths, **kwargs):
+    """Explore the root lease, suspending it after ``paths`` completed
+    paths; returns the partial report and the harvested residuals."""
+    calls = [0]
+
+    def yield_check():
+        calls[0] += 1
+        return calls[0] >= paths
+
+    report, residuals, _ = explore_lease(
+        system, None, yield_check=yield_check, max_depth=20, **kwargs
+    )
+    return report, residuals
+
+
+def lease_blocks(build, paths, **kwargs):
+    """Run the lease pipeline by hand, without a pool: the root lease
+    suspends after ``paths`` paths, then every residual runs to
+    exhaustion.  Returns the ``(prefix_key, report)`` blocks."""
+    report, residuals = suspended_lease(build(), paths, **kwargs)
+    blocks = [((), report)]
+    for prefix in residuals:
+        lease_report = explore_lease(build(), prefix, max_depth=20, **kwargs)[0]
+        blocks.append((prefix_key(prefix), lease_report))
+    return blocks
+
+
 class TestPrefixEnumeration:
+    """The residual prefixes harvested from a suspended lease."""
+
     def test_prefixes_are_deterministic(self):
-        first, _ = enumerate_prefixes(toss_system(9), 1, max_depth=20)
-        second, _ = enumerate_prefixes(toss_system(9), 1, max_depth=20)
+        _, first = suspended_lease(racing_system(), 1)
+        _, second = suspended_lease(racing_system(), 1)
         assert first == second
+        assert first
         assert all(isinstance(p, ChoicePrefix) for p in first)
 
     def test_toss_fanout_reflected_in_prefix_count(self):
-        # VS_toss(9) at the root: cutting below the toss must yield one
-        # prefix per chosen value (10 of them).
-        prefixes, _ = enumerate_prefixes(toss_system(9), 1, max_depth=20)
-        assert len(prefixes) == 10
+        # VS_toss(9) at the root: after the path through value 0, one
+        # residual prefix per untried value (9 of them) remains.
+        _, prefixes = suspended_lease(toss_system(9), 1)
+        assert len(prefixes) == 9
 
     def test_prefix_pins_every_decision(self):
-        prefixes, _ = enumerate_prefixes(toss_system(3), 1, max_depth=20)
-        indices = [tuple(pt.index for pt in p.points) for p in prefixes]
+        _, prefixes = suspended_lease(racing_system(), 1)
+        indices = [prefix_key(p) for p in prefixes]
         # All distinct, in DFS order.
         assert len(set(indices)) == len(indices)
         assert indices == sorted(indices)
 
     def test_describe_is_readable(self):
-        prefixes, _ = enumerate_prefixes(toss_system(3), 1, max_depth=20)
-        text = prefixes[0].describe()
-        assert "toss=0" in text
-        assert "schedule='p'" in text
-
-    def test_coordinator_counts_only_above_frontier(self):
-        sequential = dfs_search(racing_system(), max_depth=30)
-        _, coordinator = enumerate_prefixes(racing_system(), 2, max_depth=30)
-        assert coordinator.transitions_executed < sequential.transitions_executed
-
-    def test_deep_frontier_yields_no_prefixes(self):
-        # Frontier beyond every path: plain sequential search, no cuts.
-        prefixes, coordinator = enumerate_prefixes(
-            toss_system(3), 50, max_depth=20
-        )
-        assert prefixes == []
-        assert coordinator.summary() == dfs_search(toss_system(3), max_depth=20).summary()
+        _, prefixes = suspended_lease(toss_system(3), 1)
+        assert prefixes[0].describe() == "toss=1"
 
 
 class TestManualMerge:
-    """Drive the partition pipeline by hand (no pool) and demand parity."""
+    """Drive the lease pipeline by hand (no pool) and demand parity."""
 
-    @pytest.mark.parametrize("depth", [1, 2, 3])
-    def test_merge_matches_sequential(self, depth):
+    @pytest.mark.parametrize("paths", [1, 2, 3])
+    def test_merge_matches_sequential(self, paths):
         sequential = dfs_search(toss_system(9), max_depth=20, max_events=1000)
-        prefixes, coordinator = enumerate_prefixes(
-            toss_system(9), depth, max_depth=20, max_events=1000
-        )
-        workers = [
-            explore_subtree(toss_system(9), p, max_depth=20, max_events=1000)[0]
-            for p in prefixes
-        ]
-        merged = merge_reports(
-            coordinator, workers, num_prefixes=len(prefixes), max_events=1000
-        )
+        blocks = lease_blocks(lambda: toss_system(9), paths, max_events=1000)
+        merged = _merge_lease_blocks(blocks, max_events=1000, fingerprints=None)
         assert merged.summary() == sequential.summary()
 
     def test_merge_deduplicates_shared_events(self):
-        # Events found above the frontier appear only in the coordinator;
-        # feeding the coordinator itself in twice must not double-count.
+        # Committing a block twice must not double-count its events.
         sequential = dfs_search(deadlock_system(), max_depth=20, max_events=1000)
-        prefixes, coordinator = enumerate_prefixes(
-            deadlock_system(), 2, max_depth=20, max_events=1000
-        )
-        workers = [
-            explore_subtree(deadlock_system(), p, max_depth=20, max_events=1000)[0]
-            for p in prefixes
-        ]
-        merged = merge_reports(
-            coordinator, workers, num_prefixes=len(prefixes), max_events=1000
+        blocks = lease_blocks(deadlock_system, 1, max_events=1000)
+        repeated = next(block for block in blocks if block[1].deadlocks)
+        merged = _merge_lease_blocks(
+            [*blocks, repeated], max_events=1000, fingerprints=None
         )
         assert len(merged.deadlocks) == len(sequential.deadlocks)
         keys = [d.trace.choices for d in merged.deadlocks]
         assert len(set(keys)) == len(keys)
 
     def test_merge_respects_event_cap(self):
-        prefixes, coordinator = enumerate_prefixes(
-            deadlock_system(), 2, max_depth=20, max_events=1
-        )
-        workers = [
-            explore_subtree(deadlock_system(), p, max_depth=20, max_events=1)[0]
-            for p in prefixes
-        ]
-        merged = merge_reports(
-            coordinator, workers, num_prefixes=len(prefixes), max_events=1
-        )
+        blocks = lease_blocks(deadlock_system, 1, max_events=1)
+        merged = _merge_lease_blocks(blocks, max_events=1, fingerprints=None)
         assert len(merged.deadlocks) == 1
 
     def test_merged_stats_aggregate_workers(self):
-        prefixes, coordinator = enumerate_prefixes(toss_system(9), 2, max_depth=20)
-        workers = [
-            explore_subtree(toss_system(9), p, max_depth=20)[0] for p in prefixes
-        ]
-        merged = merge_reports(
-            coordinator, workers, num_prefixes=len(prefixes), max_events=25
-        )
+        blocks = lease_blocks(lambda: toss_system(9), 2, backtrack="replay")
+        merged = _merge_lease_blocks(blocks, max_events=25, fingerprints=None)
         assert merged.stats is not None
         assert merged.stats.states_visited == merged.states_visited
-        assert merged.stats.replays == sum(
-            r.stats.replays for r in [coordinator, *workers]
-        )
+        assert merged.stats.replays == sum(r.stats.replays for _, r in blocks) > 0
 
 
 class TestParallelSearch:
@@ -241,38 +224,51 @@ class TestParallelSearch:
         parallel = run_search(racing_system(), options, strategy="parallel", jobs=2)
         assert parallel.states_visited == sequential.states_visited
 
-    def test_explicit_prefix_depth(self):
-        report = parallel_search(
-            toss_system(9),
-            SearchOptions(strategy="parallel", jobs=2, prefix_depth=1, max_depth=20),
-        )
-        assert report.stats.prefixes == 10
-        assert report.summary() == dfs_search(toss_system(9), max_depth=20).summary()
-
     def test_stop_on_first_reports_an_event(self):
-        report = parallel_search(
+        report = run_search(
             deadlock_system(),
             SearchOptions(strategy="parallel", jobs=2, stop_on_first=True, max_depth=20),
         )
         assert report.deadlocks
         assert not report.ok
 
-    def test_stats_record_jobs_and_prefixes(self):
-        report = parallel_search(
+    def test_stats_record_jobs_and_leases(self):
+        report = run_search(
             toss_system(9), SearchOptions(strategy="parallel", jobs=2, max_depth=20)
         )
         assert report.stats.strategy == "parallel"
         assert report.stats.jobs == 2
-        assert report.stats.prefixes >= 1
+        assert report.stats.leases >= 1
         assert report.stats.wall_time > 0
 
     def test_system_factory_escape_hatch(self):
-        report = parallel_search(
+        report = run_search(
             toss_system(9),
             SearchOptions(strategy="parallel", jobs=2, max_depth=20),
             system_factory=lambda: toss_system(9),
         )
         assert report.summary() == dfs_search(toss_system(9), max_depth=20).summary()
+
+
+class TestParallelTracing:
+    def test_one_lease_span_per_committed_lease(self, tmp_path):
+        tracer = Tracer()
+        report = run_search(
+            closed_figure_system(P_SRC, "p"),
+            SearchOptions(strategy="parallel", jobs=2, max_depth=40, tracer=tracer),
+        )
+        trace = tracer.chrome_trace()
+        assert validate_chrome_trace(trace) == []
+        path = tracer.write(tmp_path / "trace.json")
+        assert validate_chrome_trace(json.loads(path.read_text())) == []
+        events = trace["traceEvents"]
+        leases = [e for e in events if e["name"] == "lease" and e["ph"] == "X"]
+        assert len(leases) == report.stats.leases >= 1
+        # The workers' per-path spans come along: one per explored path.
+        paths = [e for e in events if e["name"] == "path" and e.get("cat") == "dfs"]
+        assert len(paths) == report.paths_explored
+        # Payloads are spliced into the tracer, never left on the report.
+        assert report.trace_payload is None
 
 
 class TestPicklability:

@@ -141,20 +141,12 @@ class TestTimeBudget:
         assert report.paths_explored == 4
 
     def test_budget_checked_within_a_path(self):
-        # max_seconds was only checked between paths; time_budget must
-        # interrupt even the first execution.
+        # time_budget must interrupt even the first execution.
         report = run_search(
             toss_system(9), SearchOptions(time_budget=0.0, max_depth=50)
         )
         assert report.paths_explored == 1
         assert report.incomplete
-
-    def test_explorer_max_seconds_still_truncates_without_incomplete(self):
-        from repro.verisoft import Explorer
-
-        report = Explorer(toss_system(9), max_seconds=0.0, por=False).run()
-        assert report.truncated
-        assert not report.incomplete
 
 
 class TestExports:
@@ -169,6 +161,10 @@ class TestExports:
         assert not hasattr(repro, "random_walks")
         assert "explore" not in repro.__all__
         assert "random_walks" not in repro.__all__
+        # The static prefix partition went the same way: strategy=
+        # "parallel" runs on the work-stealing scheduler.
+        assert not hasattr(repro, "parallel_search")
+        assert not hasattr(repro.verisoft, "parallel_search")
 
     def test_new_names_reexported_from_top_level(self):
         for name in (
@@ -176,7 +172,6 @@ class TestExports:
             "SearchOptions",
             "SearchStats",
             "ProgressPrinter",
-            "parallel_search",
         ):
             assert name in repro.__all__
             assert hasattr(repro, name)

@@ -276,8 +276,8 @@ class TestAggregation:
         assert a.cache_hits == 5
 
     def test_add_keeps_receiver_identity_fields(self):
-        a = SearchStats(strategy="parallel", jobs=4, prefixes=8)
-        a.add(SearchStats(strategy="dfs", jobs=1, prefixes=0))
+        a = SearchStats(strategy="parallel", jobs=4, leases=8)
+        a.add(SearchStats(strategy="dfs", jobs=1, leases=0))
         assert a.strategy == "parallel"
         assert a.jobs == 4
-        assert a.prefixes == 8
+        assert a.leases == 8
