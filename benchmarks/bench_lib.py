@@ -7,7 +7,8 @@ the three concerns every bench script shares:
 
 * :func:`provenance_block` — one uniform ``_provenance`` block per file
   (when it was generated, on what interpreter/platform/CPU count, at
-  which commit), so a number can always be traced back to its run;
+  which commit, and whether the measured tree had uncommitted changes —
+  :func:`git_dirty`), so a number can always be traced back to its run;
 * :func:`merge_bench_json` — label-wise merging, so a filtered run
   (``-k "fig2 or fig3"``) refreshes only its own entries and never
   clobbers the rest of the file;
@@ -24,6 +25,7 @@ on throughput regressions against the committed baselines.
 from __future__ import annotations
 
 import datetime
+import fnmatch
 import json
 import os
 import pathlib
@@ -37,6 +39,39 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 #: Copies land next to the human-readable result tables.
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+
+def _is_run_output(path: str) -> bool:
+    """Whether ``path`` (relative to the repo root) is written by a
+    benchmark run itself: the root ``BENCH_*.json`` files and
+    ``benchmarks/results/``."""
+    return (
+        "/" not in path and fnmatch.fnmatch(path, "BENCH_*.json")
+    ) or path.startswith("benchmarks/results/")
+
+
+def git_dirty(root: pathlib.Path = ROOT) -> bool | None:
+    """Whether the working tree under ``root`` differs from ``HEAD``
+    (modified, staged, deleted or untracked files), ignoring what a
+    benchmark run writes itself.  ``None`` outside a git checkout."""
+    try:
+        proc = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=all"],
+            cwd=root,
+            capture_output=True,
+            text=True,
+            timeout=5,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    if proc.returncode != 0:
+        return None
+    for line in proc.stdout.splitlines():
+        # "XY path" or "XY old -> new" for renames.
+        path = line[3:].split(" -> ")[-1].strip('"')
+        if not _is_run_output(path):
+            return True
+    return False
 
 
 def provenance_block() -> dict[str, Any]:
@@ -62,6 +97,7 @@ def provenance_block() -> dict[str, Any]:
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
         "git_commit": commit,
+        "git_dirty": git_dirty(),
     }
 
 

@@ -95,7 +95,7 @@ from .sysdesc import (
     load_program,
     system_from_description,
 )
-from .verisoft import ProgressPrinter, SearchOptions, run_search
+from .verisoft import ENGINES, ProgressPrinter, SearchOptions, run_search
 
 
 def _load_program(path: pathlib.Path):
@@ -789,7 +789,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     search_parser.add_argument(
         "--engine",
-        choices=("walk", "compiled"),
+        choices=ENGINES,
         default="walk",
         help="execution engine: 'walk' is the reference tree-walking "
         "interpreter; 'compiled' translates the CFGs to Python closures "
@@ -892,7 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile_parser.add_argument("--jobs", "-j", type=int, default=0, metavar="N")
     profile_parser.add_argument(
         "--engine",
-        choices=("walk", "compiled"),
+        choices=ENGINES,
         default="walk",
         help="execution engine to profile (default: walk)",
     )
@@ -993,7 +993,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replay_parser.add_argument(
         "--engine",
-        choices=("walk", "compiled"),
+        choices=ENGINES,
         default="walk",
         help="execution engine for the re-execution; a note is printed "
         "when it differs from the engine the trace was found under "
@@ -1066,7 +1066,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backtrack", choices=("restore", "replay"), default="restore"
     )
     submit_parser.add_argument(
-        "--engine", choices=("walk", "compiled"), default="walk"
+        "--engine", choices=ENGINES, default="walk"
     )
     submit_parser.add_argument(
         "--state-cache",

@@ -9,10 +9,11 @@ closing transform → search/replay/shrink):
   Chrome trace-event JSON export (``chrome://tracing`` / Perfetto):
   pipeline phases, per-path DFS spans, replay prefixes, per-worker
   parallel timelines;
-* :mod:`repro.obs.profile` — a hot-spot profiler riding the explorer's
-  ``on_step`` observer: per-CFG-node / per-operation / per-toss-point
-  execution counts plus depth and branching histograms, rendered as
-  top-N tables (``repro search --profile`` / ``repro profile``);
+* :mod:`repro.obs.profile` — a hot-spot profiler called on every fresh
+  search step: per-CFG-node / per-operation / per-toss-point execution
+  counts, depth and branching histograms and per-phase wall times,
+  rendered as top-N tables (``repro search --profile`` / ``repro
+  profile``);
 * :mod:`repro.obs.heartbeat` — worker heartbeats and stall detection
   for the parallel search: per-worker progress lines in the ticker and
   warnings when a worker stops making progress;
@@ -29,10 +30,12 @@ closing transform → search/replay/shrink):
 * :mod:`repro.obs.metrics` — Prometheus textfile exporter for the job
   service (``repro serve --metrics-out FILE``).
 
-Every hook is **zero-cost when disabled**: instrumentation sites are
-guarded by a single ``if tracer is not None`` / ``if on_step is not
-None`` and nothing is constructed unless requested (overhead measured
-by ``benchmarks/bench_obs.py``).
+Every observer is **zero-cost when disabled**: each search driver builds
+the profiler, coverage collector and tracer it is asked for from its
+:class:`~repro.verisoft.search.SearchOptions` (``profile`` /
+``coverage`` / ``tracer``), and every instrumentation site is a single
+``is not None`` check (overhead measured by
+``benchmarks/bench_obs.py``).
 """
 
 from .coverage import CoverageCollector

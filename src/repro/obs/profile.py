@@ -2,8 +2,10 @@
 
 A stateless search's cost is execution: almost every cycle is spent
 re-running transitions.  The :class:`HotSpotProfiler` answers *which*
-transitions — it attaches to the explorer's ``on_step`` observer (see
-:class:`repro.verisoft.explorer.Explorer`) and accumulates
+transitions.  A search with ``SearchOptions(profile=True)`` builds one
+per driver (the explorer, each lease, the random walks — see
+:class:`repro.verisoft.explorer.Explorer`), calls it on every fresh
+step and accumulates
 
 * per-CFG-node execution counts (which program points dominate),
 * per-operation counts (``send`` on which object, ``sem_p``, ...),
@@ -14,8 +16,8 @@ transitions — it attaches to the explorer's ``on_step`` observer (see
 * a **per-phase wall-time breakdown** (:attr:`HotSpotProfiler.phases`):
   seconds spent in the engine (stepping processes), computing canonical
   state fingerprints, in POR analysis, in the state cache and in the
-  coverage collector.  The explorer fills it through its
-  ``phase_profile`` hook; phases not exercised by a configuration
+  coverage collector.  The explorer times its phases straight into
+  this ``Counter``; phases not exercised by a configuration
   (e.g. ``fingerprint`` with nothing consuming state keys) simply stay
   absent.
 
@@ -39,9 +41,9 @@ DEFAULT_TOP = 10
 
 
 class HotSpotProfiler:
-    """Accumulates hot-spot counters; also the ``on_step`` callable.
+    """Accumulates hot-spot counters; also the per-step observer.
 
-    The explorer invokes the observer as ``on_step(kind, process,
+    The search drivers invoke the profiler as ``profiler(kind, process,
     request, depth, fanout, created)`` where
 
     * ``kind`` — ``"schedule"`` (a visible transition just executed on a
@@ -71,7 +73,7 @@ class HotSpotProfiler:
         self.branching_hist: Counter = Counter()
         #: explorer phase name -> wall seconds (``engine`` /
         #: ``fingerprint`` / ``por`` / ``cache`` / ``coverage``), filled
-        #: through the explorer's ``phase_profile`` hook.  A ``Counter``
+        #: by the explorer (random walks leave it empty).  A ``Counter``
         #: so absent phases read as 0.0 and merging is a plain sum.
         self.phases: Counter = Counter()
 
@@ -86,7 +88,7 @@ class HotSpotProfiler:
         fanout: int,
         created: bool,
     ) -> None:
-        """The ``on_step`` observer protocol (see the class docstring)."""
+        """The per-step observer protocol (see the class docstring)."""
         if kind == "schedule":
             self.nodes[(request.proc_name, request.node_id)] += 1
             obj = request.obj

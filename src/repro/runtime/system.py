@@ -258,6 +258,15 @@ class System:
                 self._compiled = False
         return self._compiled or None
 
+    def resolve_engine(self, engine: str) -> str:
+        """The engine a run of this system actually uses: ``engine``,
+        except that ``"compiled"`` falls back to ``"walk"`` when the
+        program cannot be compiled (see :meth:`compiled_program`)."""
+        validate_engine(engine)
+        if engine == "compiled" and self.compiled_program() is None:
+            return "walk"
+        return engine
+
     def start(self, journal: bool = False, engine: str = "walk", trace: bool = False) -> "Run":
         """Create a fresh run (fresh objects, fresh process steppers).
 
@@ -275,14 +284,10 @@ class System:
         ``trace=True`` turns on per-process node tracing
         (``enable_trace()`` on every stepper) for coverage collection.
         """
-        validate_engine(engine)
+        engine = self.resolve_engine(engine)
         if not self._process_specs:
             raise ObjectError("system has no processes")
-        program = None
-        if engine == "compiled":
-            program = self.compiled_program()
-            if program is None:
-                engine = "walk"
+        program = self.compiled_program() if engine == "compiled" else None
         journal_obj = UndoJournal() if journal else None
         objects = {name: spec.instantiate() for name, spec in self._object_specs.items()}
         if journal_obj is not None:

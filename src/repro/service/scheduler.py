@@ -66,25 +66,28 @@ import queue as queue_mod
 import signal
 import sys
 import time
-from typing import TYPE_CHECKING, Any, Callable
+from dataclasses import replace
+from typing import Any, Callable, Iterable
 
 from ..runtime.system import System
-from ..statespace.stores import make_store
 from ..verisoft.explorer import Explorer
 from ..verisoft.parallel import (
     ChoicePrefix,
-    _merge_events,
     _thaw,
     harvest_residual,
     prefix_key,
     warn_oversubscription,
 )
-from ..verisoft.results import ExplorationReport
+from ..verisoft.results import (
+    AssertionViolationEvent,
+    CrashEvent,
+    DivergenceEvent,
+    ExplorationReport,
+    Trace,
+)
+from ..verisoft.search import SearchOptions
 from ..verisoft.stats import SearchStats
 from .frontier import SearchCheckpoint, canonical_fingerprint, pending_key
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..verisoft.search import SearchOptions
 
 __all__ = ["explore_lease", "work_stealing_search"]
 
@@ -97,27 +100,12 @@ __all__ = ["explore_lease", "work_stealing_search"]
 def explore_lease(
     system: System,
     prefix: ChoicePrefix | None,
+    options: SearchOptions,
     *,
     yield_check: Callable[[], bool] | None = None,
     heartbeat_queue: Any | None = None,
     lease_index: int = 0,
-    max_depth: int = 100,
-    backtrack: str = "restore",
-    engine: str = "walk",
-    por: bool = True,
-    sleep_sets: bool = True,
-    count_states: bool = False,
-    stop_on_first: bool = False,
-    max_paths: int | None = None,
-    max_transitions: int | None = None,
-    time_budget: float | None = None,
-    max_events: int = 25,
-    state_cache: str = "off",
-    cache_bits: int = 24,
-    profile: bool = False,
-    coverage: bool = False,
     trace: bool = False,
-    heartbeat_interval: float = 0.5,
 ) -> tuple[ExplorationReport, list[ChoicePrefix], frozenset | None]:
     """Explore the subtree leased by ``prefix`` (``None`` = whole tree).
 
@@ -131,20 +119,12 @@ def explore_lease(
     so they survive checkpoint round-trips.
 
     A lease prefix pins an *untried* decision at its tip: the tip's
-    out-edge and everything below it is fresh, counted ground.  With
-    ``trace`` the lease records one ``lease`` span into a private
-    tracer whose buffer comes back as ``report.trace_payload``.
+    out-edge and everything below it is fresh, counted ground.  The
+    explorer runs on ``options`` with ``progress`` replaced by heartbeats
+    onto ``heartbeat_queue`` (none without one) and ``tracer`` by a
+    private tracer when ``trace`` is set: the lease records one
+    ``lease`` span whose buffer comes back as ``report.trace_payload``.
     """
-    profiler = None
-    if profile:
-        from ..obs import HotSpotProfiler
-
-        profiler = HotSpotProfiler()
-    collector = None
-    if coverage:
-        from ..obs import CoverageCollector
-
-        collector = CoverageCollector(system)
     tracer = None
     if trace:
         from ..obs import Tracer
@@ -175,30 +155,11 @@ def explore_lease(
 
         send("start", 0, 0)
 
-    fingerprints: set[Any] | None = set() if count_states else None
     explorer = Explorer(
         system,
-        max_depth=max_depth,
-        backtrack=backtrack,
-        engine=engine,
-        por=por,
-        sleep_sets=sleep_sets,
-        state_store=make_store(state_cache, cache_bits=cache_bits),
-        count_states=count_states,
-        stop_on_first=stop_on_first,
-        max_paths=max_paths,
-        max_transitions=max_transitions,
-        time_budget=time_budget,
-        max_events=max_events,
+        replace(options, progress=progress, tracer=tracer),
         initial_stack=_thaw(prefix) if prefix is not None else None,
         yield_check=yield_check,
-        fingerprint_set=fingerprints,
-        progress=progress,
-        progress_interval=heartbeat_interval,
-        on_step=profiler,
-        tracer=tracer,
-        coverage=collector,
-        phase_profile=profiler.phases if profiler is not None else None,
     )
     if tracer is None:
         report = explorer.run()
@@ -212,12 +173,10 @@ def explore_lease(
     if send is not None:
         replayed = report.stats.replayed_transitions if report.stats else 0
         send("done", report.states_visited, report.transitions_executed + replayed)
-    report.profile = profiler
-    report.coverage = collector
     canonical = (
         None
-        if fingerprints is None
-        else frozenset(canonical_fingerprint(fp) for fp in fingerprints)
+        if explorer.seen_states is None
+        else frozenset(canonical_fingerprint(fp) for fp in explorer.seen_states)
     )
     return report, residuals, canonical
 
@@ -230,7 +189,8 @@ def explore_lease(
 def _worker_main(
     worker_id: int,
     system_or_factory: Any,
-    worker_kwargs: dict[str, Any],
+    options: SearchOptions,
+    trace: bool,
     task_queue: Any,
     result_queue: Any,
     heartbeat_queue: Any,
@@ -280,10 +240,11 @@ def _worker_main(
             report, residuals, fps = explore_lease(
                 system,
                 prefix,
+                options,
                 yield_check=yield_check,
                 heartbeat_queue=heartbeat_queue,
                 lease_index=seq,
-                **worker_kwargs,
+                trace=trace,
             )
         except Exception as err:  # commit the failure; don't strand the lease
             result_queue.put((worker_id, seq, err, [], None, False))
@@ -310,6 +271,32 @@ class _WorkerHandle:
 # ---------------------------------------------------------------------------
 # Deterministic merge
 # ---------------------------------------------------------------------------
+
+
+def _merge_events(
+    merged_list: list, parts: Iterable[list], max_events: int, keep_count: bool
+) -> None:
+    """Concatenate event lists in order.  Beyond ``max_events`` recorded
+    traces, either keep counting with trace-less placeholder events
+    (``keep_count``, matching the sequential explorer's behaviour for
+    violations/crashes/divergences) or stop (deadlocks)."""
+    for events in parts:
+        for event in events:
+            if len(merged_list) < max_events:
+                merged_list.append(event)
+            elif keep_count:
+                merged_list.append(_strip_trace(event))
+
+
+def _strip_trace(event):
+    empty = Trace((), ())
+    if isinstance(event, AssertionViolationEvent):
+        return AssertionViolationEvent(empty, event.process, event.proc_name, event.node_id)
+    if isinstance(event, CrashEvent):
+        return CrashEvent(empty, event.process, "")
+    if isinstance(event, DivergenceEvent):
+        return DivergenceEvent(empty, event.process)
+    return event
 
 
 def _merge_lease_blocks(
@@ -419,13 +406,9 @@ def work_stealing_search(
     * ``kill_worker_after_paths`` — crash-test hook, forwarded to the
       *first* worker only (see :func:`_worker_main`).
     """
-    from ..verisoft.search import SearchOptions
-
     if options is None:
         options = SearchOptions(strategy="parallel")
     if overrides:
-        from dataclasses import replace
-
         options = replace(options, **overrides)
 
     jobs = options.jobs or os.cpu_count() or 1
@@ -446,11 +429,7 @@ def work_stealing_search(
     # Resolve the effective engine up front (the per-lease explorers
     # resolve it identically) so stats are right even if the search
     # suspends before any lease completes.
-    resolved_engine = (
-        "walk"
-        if options.engine == "compiled" and system.compiled_program() is None
-        else options.engine
-    )
+    resolved_engine = system.resolve_engine(options.engine)
 
     # -- seed the lease pool (fresh root lease, or a checkpoint) ----------
     pending: list[tuple[tuple[int, ...], int, ChoicePrefix | None]] = []
@@ -477,25 +456,15 @@ def work_stealing_search(
         lease_seq = 1
         leases = 1
 
-    worker_kwargs = dict(
-        max_depth=options.max_depth,
-        backtrack=options.backtrack,
-        engine=options.engine,
-        por=options.por,
-        sleep_sets=options.sleep_sets_active,
-        count_states=options.count_states,
-        stop_on_first=options.stop_on_first,
-        max_paths=options.max_paths,
-        max_transitions=options.max_transitions,
+    # What every lease runs on: picklable (no callbacks, no tracer) and
+    # bounded by what is left of the wall-clock budget.
+    worker_options = replace(
+        options,
+        progress=None,
+        tracer=None,
         time_budget=None if deadline is None else max(0.0, deadline - time.monotonic()),
-        max_events=options.max_events,
-        state_cache=options.state_cache,
-        cache_bits=options.cache_bits,
-        profile=options.profile,
-        coverage=options.coverage,
-        trace=options.tracer is not None,
-        heartbeat_interval=options.progress_interval,
     )
+    trace = options.tracer is not None
 
     # Live coverage gauge: incrementally merged at block commit so
     # heartbeats don't re-merge every shard on each tick.  The *final*
@@ -606,9 +575,10 @@ def work_stealing_search(
             report, residuals, lease_fps = explore_lease(
                 target_system,
                 prefix,
+                worker_options,
                 yield_check=should_suspend,
                 lease_index=seq,
-                **worker_kwargs,
+                trace=trace,
             )
             commit(key, report, residuals, lease_fps, was_steal=False)
             worker_summary["w0"]["leases"] += 1
@@ -668,7 +638,8 @@ def work_stealing_search(
                 args=(
                     wid,
                     system_payload,
-                    worker_kwargs,
+                    worker_options,
+                    trace,
                     task_queue,
                     result_queue,
                     heartbeat_queue,
@@ -839,7 +810,11 @@ def work_stealing_search(
                     while pending:
                         key, seq, prefix = heapq.heappop(pending)
                         report, residuals, lease_fps = explore_lease(
-                            target_system, prefix, lease_index=seq, **worker_kwargs
+                            target_system,
+                            prefix,
+                            worker_options,
+                            lease_index=seq,
+                            trace=trace,
                         )
                         commit(key, report, residuals, lease_fps, was_steal=False)
                     break

@@ -5,7 +5,7 @@ through the state space is a sequence of **choices** — which process
 executes its next visible operation at each global state, and which
 value each ``VS_toss`` returns — and the search is a depth-first walk
 over the choice tree.  *How* it backtracks is selectable
-(``backtrack=``):
+(``SearchOptions.backtrack``):
 
 * ``"replay"`` — the classic stateless mode: re-execute the system from
   its initial state along the recorded choice prefix (the runtime is
@@ -29,16 +29,16 @@ acyclic state spaces the search is exhaustive up to the depth bound; it
 "can always guarantee, from a given initial state, complete coverage of
 the state space up to some depth".
 
-Optionally the search is no longer purely stateless: given a
-``state_store`` (:mod:`repro.statespace`), every freshly reached global
+Optionally the search is no longer purely stateless: with a
+``state_cache`` (:mod:`repro.statespace`), every freshly reached global
 state is looked up before being expanded and the subtree below a state
 that was already expanded is pruned — state-space caching, the standard
 complement to stateless search.  Sleep sets are *path-dependent*, so
 combining them with caching can miss transitions (a state first reached
 with a large sleep set records a smaller subtree than an uncached
-search would explore from it); callers wanting soundness disable sleep
-sets alongside caching via ``sleep_sets=False`` (the search layer's
-``safe`` cache mode).
+search would explore from it); the ``safe`` cache mode therefore turns
+sleep sets off alongside caching
+(:attr:`~repro.verisoft.search.SearchOptions.sleep_sets_active`).
 """
 
 from __future__ import annotations
@@ -48,10 +48,8 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable, Iterable
 
-from ..runtime.engine import validate_engine
 from ..runtime.process import Process, ProcessStatus
 from ..runtime.system import Run, System
-from ..statespace.stores import StateStore
 from .por import (
     PersistentSetComputer,
     TransitionSig,
@@ -72,6 +70,7 @@ from .results import (
     Trace,
     TraceStep,
 )
+from .search import BACKTRACK_MODES, SearchOptions
 from .stats import SearchStats
 
 
@@ -130,44 +129,26 @@ class Explorer:
 
     Arguments:
         system: the (closed) system to explore.
-        max_depth: bound on transitions per path; exploration is complete
-            up to this depth.
-        backtrack: ``"replay"`` (default; stateless re-execution from the
-            initial state) or ``"restore"`` (undo-journal checkpointing:
-            backtracking rewinds the live run in O(changes) — see the
-            module docstring).  Both modes visit the identical choice
-            tree and report identical counters apart from
-            ``replays``/``replayed_transitions``/``restores``.
-        engine: the process stepper (see :mod:`repro.runtime.engine`):
-            ``"walk"`` (default; the tree-walking reference engine) or
-            ``"compiled"`` (CFGs pre-translated to Python closures).
-            ``"compiled"`` silently degrades to ``"walk"`` when the
-            program cannot be compiled (pointer programs); both engines
-            explore the identical choice tree and report identical
-            counters.
-        por: enable persistent-set + sleep-set reduction.
-        sleep_sets: with ``por``, whether the sleep-set part of the
-            reduction is active (persistent sets always are).  The safe
-            state-caching mode turns sleep sets off — see the module
-            docstring.
-        state_store: a :class:`~repro.statespace.stores.StateStore`
-            consulted at every fresh global state; a state the store has
-            already expanded (at no smaller remaining depth budget) is
-            pruned instead of re-explored.  ``None`` (the default) keeps
-            the search purely stateless.
-        count_states: additionally hash every visited global state to
-            report the number of *distinct* states (not part of VeriSoft,
-            which stores no states; used by the benchmarks to measure
-            true state-space sizes).
-        stop_on_first: stop at the first deadlock/violation/crash.
-        max_paths / max_transitions: work budgets; the report's
-            ``truncated`` flag is set when one trips.
-        time_budget: wall-clock budget in seconds, checked at every
-            global state; when it expires the report is flagged
-            ``incomplete=True`` (and ``truncated``) instead of the
-            search running unbounded.
-        max_events: cap on recorded events of each kind (traces can be
-            large; counting continues).
+        options: the :class:`~repro.verisoft.search.SearchOptions` of the
+            search.  The explorer reads the depth bound, ``backtrack``
+            (see the module docstring), ``engine`` (resolved through
+            :meth:`System.resolve_engine`), ``por``, the state cache
+            (:meth:`~repro.verisoft.search.SearchOptions.make_state_store`
+            and ``sleep_sets_active``), ``count_states``, the budgets
+            (``stop_on_first``, ``max_paths``, ``max_transitions``,
+            ``time_budget``), ``max_events``, the ``on_leaf``/``stop_when``
+            hooks, ``progress``/``progress_interval`` and the observers:
+            ``profile`` builds a :class:`~repro.obs.profile.HotSpotProfiler`
+            fed on every fresh transition and fresh ``VS_toss`` point plus
+            the per-phase wall times, ``coverage`` a
+            :class:`~repro.obs.coverage.CoverageCollector` fed from the
+            engines' node traces, and ``tracer`` records one span per DFS
+            path and an instant per recorded deadlock/violation.  Every
+            observer is anchored like the counters (only *fresh* ground
+            counts), so parallel merges are exact and both engines agree;
+            a disabled observer costs one ``None`` check per site.  The
+            profiler and collector are attached to the report as
+            ``report.profile`` / ``report.coverage``.
         initial_stack: a frozen choice prefix (see
             :mod:`repro.verisoft.parallel`); the search replays it and
             explores only the subtree below — backtracking never climbs
@@ -189,37 +170,10 @@ class Explorer:
             far — every counter and event is final for the explored
             region, so a partial report plus the residual prefixes
             partitions the subtree losslessly.
-        fingerprint_set: with ``count_states``, collect fingerprints
-            into this caller-owned set (so a parallel coordinator can
-            union worker sets).
-        progress / progress_interval: periodic live-telemetry callback
-            receiving the running :class:`~repro.verisoft.stats.SearchStats`.
-        on_step: per-step observer (the hot-spot profiler's hook,
-            :class:`repro.obs.profile.HotSpotProfiler`), invoked as
-            ``on_step(kind, process, request, depth, fanout, created)``
-            — on every *fresh* visible transition
-            (``kind="schedule"``) and on every freshly created
-            ``VS_toss`` choice point (``kind="toss"``).  Anchored
-            exactly like ``transitions_executed``/``toss_points``, so
-            observer totals match the report and parallel merges are
-            exact.  ``None`` (default) costs one branch per transition.
-        tracer: a :class:`repro.obs.tracer.Tracer`; when given, the
-            explorer records one span per DFS path (category ``"dfs"``)
-            and an instant event per recorded deadlock/violation.
-            ``None`` (default) costs one branch per path.
-        coverage: a :class:`repro.obs.coverage.CoverageCollector`; when
-            given, every run is started with engine node tracing on and
-            the explorer drains each trace segment right after the step
-            that produced it, tagged with the same ``fresh`` anchoring
-            as the counters — so coverage from
-            parallel shards merges counter-exactly and the walk and
-            compiled engines produce bit-identical coverage.  ``None``
-            (default) costs one branch per step.
-        phase_profile: a mutable mapping accumulating wall seconds per
-            explorer phase (``"engine"``, ``"fingerprint"``, ``"por"``,
-            ``"cache"``, ``"coverage"``) — the per-phase breakdown the
-            hot-spot profiler reports.  ``None`` (default) skips all
-            timing.
+
+    After :meth:`run`, :attr:`seen_states` holds the canonical state
+    keys the search visited (``count_states``; ``None`` otherwise), so a
+    parallel coordinator can union the sets of its leases.
 
     The hot loop shares **one** canonical state key per global state
     (:meth:`Run.state_key`, incremental for pointer-free programs)
@@ -235,56 +189,32 @@ class Explorer:
     def __init__(
         self,
         system: System,
-        max_depth: int = 100,
-        backtrack: str = "replay",
-        engine: str = "walk",
-        por: bool = True,
-        sleep_sets: bool = True,
-        state_store: StateStore | None = None,
-        count_states: bool = False,
-        stop_on_first: bool = False,
-        max_paths: int | None = None,
-        max_transitions: int | None = None,
-        time_budget: float | None = None,
-        max_events: int = 25,
-        on_leaf: Callable[[Run, Trace], None] | None = None,
-        stop_when: Callable[[ExplorationReport], bool] | None = None,
+        options: SearchOptions,
+        *,
         initial_stack: list[_ChoicePoint] | None = None,
         yield_check: Callable[[], bool] | None = None,
-        fingerprint_set: set[Any] | None = None,
-        progress: Callable[[SearchStats], None] | None = None,
-        progress_interval: float = 0.5,
-        on_step: Callable[..., None] | None = None,
-        tracer: Any | None = None,
-        coverage: Any | None = None,
-        phase_profile: dict[str, float] | None = None,
     ):
-        if backtrack not in ("replay", "restore"):
-            raise ValueError(f"unknown backtrack mode {backtrack!r}")
-        validate_engine(engine)
+        if options.backtrack not in BACKTRACK_MODES:
+            raise ValueError(f"unknown backtrack mode {options.backtrack!r}")
         self._system = system
-        self._max_depth = max_depth
-        self._restore = backtrack == "restore"
-        # The engine actually used may degrade to "walk" when the
-        # program cannot be compiled; resolve it once so telemetry and
-        # every run agree.
-        if engine == "compiled" and system.compiled_program() is None:
-            engine = "walk"
-        self._engine = engine
+        self._max_depth = options.max_depth
+        self._restore = options.backtrack == "restore"
+        # Resolved once so telemetry and every run agree.
+        self._engine = system.resolve_engine(options.engine)
         self._live: _ExecState | None = None
         self._live_checkpoint_bytes = 0
         self._peak_checkpoint_bytes = 0
-        self._por = por
-        self._sleep_sets = sleep_sets and por
-        self._state_store = state_store
-        self._count_states = count_states
-        self._stop_on_first = stop_on_first
-        self._max_paths = max_paths
-        self._max_transitions = max_transitions
-        self._time_budget = time_budget
-        self._max_events = max_events
-        self._on_leaf = on_leaf
-        self._stop_when = stop_when
+        self._por = options.por
+        self._sleep_sets = options.sleep_sets_active and options.por
+        self._state_store = options.make_state_store()
+        self._count_states = options.count_states
+        self._stop_on_first = options.stop_on_first
+        self._max_paths = options.max_paths
+        self._max_transitions = options.max_transitions
+        self._time_budget = options.time_budget
+        self._max_events = options.max_events
+        self._on_leaf = options.on_leaf
+        self._stop_when = options.stop_when
         self._initial_stack = initial_stack
         self._yield_check = yield_check
         #: Set when ``yield_check`` stopped the DFS before exhaustion;
@@ -293,16 +223,16 @@ class Explorer:
         self.suspended = False
         self.final_stack: list[_ChoicePoint] | None = None
         self.final_base = 0
-        self._fingerprint_set = fingerprint_set
-        self._progress = progress
-        self._progress_interval = progress_interval
-        self._on_step = on_step
-        self._tracer = tracer
-        self._coverage = coverage
-        self._phases = phase_profile
+        #: The canonical keys of every visited state (``count_states``).
+        self.seen_states: set[Any] | None = None
+        self._progress = options.progress
+        self._progress_interval = options.progress_interval
+        self._tracer = options.tracer
+        self._profiler, self._coverage = options.make_observers(system)
+        self._phases = None if self._profiler is None else self._profiler.phases
         self._deadline: float | None = None
         self._persistent: PersistentSetComputer | None = None
-        if por:
+        if self._por:
             footprints = self._compute_footprints(system)
             self._persistent = PersistentSetComputer(footprints)
         #: Persistent-set memo keyed by the *control projection* of a
@@ -313,9 +243,9 @@ class Explorer:
         #: sharing a projection share the result; the projection both
         #: hashes faster than a full state key and hits far more often.
         #: Only kept with POR on — without it the analysis is one scan.
-        self._state_memo: dict[tuple, tuple] | None = {} if por else None
+        self._state_memo: dict[tuple, tuple] | None = {} if self._por else None
         # Whether any consumer needs the canonical key at each state.
-        self._need_key = state_store is not None or count_states
+        self._need_key = self._state_store is not None or self._count_states
         #: Interned trace records: ScheduleChoice / TossChoice /
         #: TraceStep are frozen value objects drawn from a tiny
         #: per-system domain, so each distinct record is allocated once
@@ -347,6 +277,8 @@ class Explorer:
             backtrack="restore" if self._restore else "replay",
             engine=self._engine,
         )
+        report.profile = self._profiler
+        report.coverage = self._coverage
         if self._state_store is not None:
             report.state_caching = {
                 **self._state_store.config(),
@@ -356,12 +288,7 @@ class Explorer:
             report.distinct_states = 0
         stack: list[_ChoicePoint] = list(self._initial_stack or ())
         base = len(stack)
-        if self._count_states:
-            seen_states: set[Any] | None = (
-                self._fingerprint_set if self._fingerprint_set is not None else set()
-            )
-        else:
-            seen_states = None
+        seen_states = self.seen_states = set() if self._count_states else None
         started = time.monotonic()
         cpu_started = time.process_time()
         if self._time_budget is not None:
@@ -551,7 +478,7 @@ class Explorer:
             if resume_point.kind == "toss":
                 # Answer the bumped toss and fall into the normal loop —
                 # mirroring a replay's pass over the bumped point (no
-                # on_step, no toss_points increment: both fire at
+                # profiler call, no toss_points increment: both fire at
                 # creation only).
                 tossing = run.toss_pending()
                 value = resume_point.chosen
@@ -596,8 +523,8 @@ class Explorer:
                         depth,
                         current_sleep,
                     )
-                    if self._on_step is not None and len(state.stack) > before:
-                        self._on_step(
+                    if self._profiler is not None and len(state.stack) > before:
+                        self._profiler(
                             "toss", tossing.name, request, depth, request.bound + 1, True
                         )
                     value = point.chosen
@@ -841,8 +768,8 @@ class Explorer:
                     phases["coverage"] += perf_counter() - t0
             if state.fresh:
                 report.transitions_executed += 1
-                if self._on_step is not None:
-                    self._on_step(
+                if self._profiler is not None:
+                    self._profiler(
                         "schedule", chosen_name, request, depth, fanout, created
                     )
             else:
@@ -1158,12 +1085,10 @@ def collect_output_traces(
     def on_leaf(run: Run, _trace: Trace) -> None:
         traces.add(tuple(run.env_outputs(sink)))
 
-    explorer = Explorer(
+    Explorer(
         system,
-        max_depth=max_depth,
-        por=False,
-        max_paths=max_paths,
-        on_leaf=on_leaf,
-    )
-    explorer.run()
+        SearchOptions(
+            max_depth=max_depth, por=False, max_paths=max_paths, on_leaf=on_leaf
+        ),
+    ).run()
     return traces

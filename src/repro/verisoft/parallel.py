@@ -20,7 +20,6 @@ scheduler (:mod:`repro.service.scheduler`, the driver behind
   explorer choice points from a prefix;
 * :func:`prefix_key` — the prefix's position in sequential DFS order,
   which makes the merge deterministic;
-* :func:`_merge_events` — the stable, deduplicating event merge;
 * :func:`warn_oversubscription` — the once-per-search CPU check.
 """
 
@@ -28,17 +27,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from .explorer import _ChoicePoint
 from .por import TransitionSig
-from .results import (
-    AssertionViolationEvent,
-    CrashEvent,
-    DeadlockEvent,
-    DivergenceEvent,
-    Trace,
-)
 
 __all__ = [
     "ChoicePrefix",
@@ -165,51 +157,6 @@ def _thaw(prefix: ChoicePrefix) -> list[_ChoicePoint]:
         )
         points.append(point)
     return points
-
-
-# ---------------------------------------------------------------------------
-# Deterministic event merge
-# ---------------------------------------------------------------------------
-
-
-def _event_key(event) -> tuple:
-    return (type(event).__name__, event.trace.choices)
-
-
-def _merge_events(
-    merged_list: list, parts: Iterable[list], max_events: int, keep_count: bool
-) -> None:
-    """Concatenate event lists in stable order, dropping duplicate
-    traces.  Beyond ``max_events`` recorded traces, either keep counting
-    with trace-less placeholder events (``keep_count``, matching the
-    sequential explorer's behaviour for violations/crashes/divergences)
-    or stop (deadlocks)."""
-    seen: set = set()
-    for event in list(merged_list):
-        seen.add(_event_key(event))
-    for events in parts:
-        for event in events:
-            key = _event_key(event)
-            if key in seen and event.trace.choices:
-                continue
-            seen.add(key)
-            if len(merged_list) < max_events:
-                merged_list.append(event)
-            elif keep_count:
-                merged_list.append(_strip_trace(event))
-
-
-def _strip_trace(event):
-    empty = Trace((), ())
-    if isinstance(event, AssertionViolationEvent):
-        return AssertionViolationEvent(empty, event.process, event.proc_name, event.node_id)
-    if isinstance(event, CrashEvent):
-        return CrashEvent(empty, event.process, "")
-    if isinstance(event, DivergenceEvent):
-        return DivergenceEvent(empty, event.process)
-    if isinstance(event, DeadlockEvent):
-        return DeadlockEvent(empty, event.blocked, event.waiting)
-    return event
 
 
 def warn_oversubscription(

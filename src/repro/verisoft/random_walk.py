@@ -16,11 +16,10 @@ from __future__ import annotations
 import contextlib
 import random
 import time
-from typing import Any, Callable
 
-from ..runtime.engine import validate_engine
 from ..runtime.process import ProcessStatus
 from ..runtime.system import System
+from .search import SearchOptions
 from .stats import SearchStats
 from .results import (
     AssertionViolationEvent,
@@ -35,55 +34,44 @@ from .results import (
 )
 
 
-def random_walks(
-    system: System,
-    walks: int = 100,
-    max_depth: int = 1000,
-    seed: int = 0,
-    max_events: int = 25,
-    stop_on_first: bool = False,
-    time_budget: float | None = None,
-    progress: Callable[[SearchStats], None] | None = None,
-    progress_interval: float = 0.5,
-    on_step: Callable[..., None] | None = None,
-    tracer: Any | None = None,
-    engine: str = "walk",
-    coverage: Any | None = None,
-) -> ExplorationReport:
-    """Run ``walks`` independent random executions of ``system``.
+def random_walks(system: System, options: SearchOptions) -> ExplorationReport:
+    """Run ``options.walks`` independent random executions of ``system``.
 
     Returns an :class:`ExplorationReport`; ``paths_explored`` counts the
     walks.  Unlike the exhaustive explorer, revisited states are neither
-    detected nor avoided.  A ``time_budget`` (seconds of wall clock,
-    checked between walks) flags the report ``incomplete`` when it
-    expires; ``progress`` receives the live
-    :class:`~repro.verisoft.stats.SearchStats` every
-    ``progress_interval`` seconds.
+    detected nor avoided.  Of ``options`` the walks read ``walks``,
+    ``seed``, ``max_depth``, ``max_events``, ``stop_on_first``,
+    ``time_budget`` (seconds of wall clock, checked between walks; flags
+    the report ``incomplete`` when it expires), ``progress`` /
+    ``progress_interval`` and ``engine`` (resolved through
+    :meth:`System.resolve_engine` and recorded in
+    ``report.stats.engine``).
 
-    ``on_step`` is the explorer's hot-spot observer protocol (see
-    :class:`~repro.obs.profile.HotSpotProfiler`); every walk transition
-    is fresh, so ``created`` is always ``True``.  ``tracer`` (a
-    :class:`~repro.obs.tracer.Tracer`) gets one span per walk.
-
-    ``engine`` selects the execution engine driving each walk (see
-    :data:`~repro.runtime.engine.ENGINES`); ``"compiled"`` falls back
-    to ``"walk"`` when the program is not compilable, and the resolved
-    engine is recorded in ``report.stats.engine``.
-
-    ``coverage`` (a :class:`~repro.obs.coverage.CoverageCollector`)
-    accumulates node/edge/toss coverage over the walks; every walk is
-    fresh ground, so all segments count.
+    The observers are the explorer's: ``profile`` attaches a
+    :class:`~repro.obs.profile.HotSpotProfiler` as ``report.profile``
+    (every walk transition is fresh, so ``created`` is always ``True``),
+    ``coverage`` a :class:`~repro.obs.coverage.CoverageCollector` as
+    ``report.coverage`` (every segment counts), and ``tracer`` gets one
+    ``walk`` span per walk.
     """
-    validate_engine(engine)
-    if engine == "compiled" and system.compiled_program() is None:
-        engine = "walk"
-    rng = random.Random(seed)
+    engine = system.resolve_engine(options.engine)
+    max_depth = options.max_depth
+    max_events = options.max_events
+    progress = options.progress
+    progress_interval = options.progress_interval
+    tracer = options.tracer
+    profiler, coverage = options.make_observers(system)
+    rng = random.Random(options.seed)
     report = ExplorationReport()
-    report.seed = seed  # walks are reproducible from the seed alone
+    report.seed = options.seed  # walks are reproducible from the seed alone
+    report.profile = profiler
+    report.coverage = coverage
     stats = report.stats = SearchStats(strategy="random", engine=engine)
     started = time.monotonic()
     cpu_started = time.process_time()
-    deadline = None if time_budget is None else started + time_budget
+    deadline = (
+        None if options.time_budget is None else started + options.time_budget
+    )
     next_tick = started + progress_interval
 
     def sync_stats() -> None:
@@ -103,7 +91,7 @@ def random_walks(
         if entries:
             coverage.segment(process.name, entries, True)
 
-    for _ in range(walks):
+    for _ in range(options.walks):
         if deadline is not None and time.monotonic() > deadline:
             report.incomplete = True
             report.truncated = True
@@ -155,8 +143,8 @@ def random_walks(
                 if tossing is not None:
                     report.toss_points += 1
                     request = tossing.toss_request
-                    if on_step is not None:
-                        on_step(
+                    if profiler is not None:
+                        profiler(
                             "toss", tossing.name, request, depth,
                             request.bound + 1, True,
                         )
@@ -194,8 +182,8 @@ def random_walks(
                     drain(chosen)
                 steps.append(TraceStep(chosen.name, request.op, obj_name))
                 report.transitions_executed += 1
-                if on_step is not None:
-                    on_step(
+                if profiler is not None:
+                    profiler(
                         "schedule", chosen.name, request, depth,
                         len(enabled), True,
                     )
@@ -222,7 +210,7 @@ def random_walks(
                 sync_stats()
                 progress(stats)
                 next_tick = now + progress_interval
-        if stop_on_first and not report.ok:
+        if options.stop_on_first and not report.ok:
             break
 
     sync_stats()

@@ -1,8 +1,5 @@
 """The unified search API: one options object, one entry point.
 
-Historically the package grew three entry points with overlapping knob
-sets — ``Explorer(...)``/``explore()`` for exhaustive DFS,
-``random_walks()`` for testing mode, and the parallel driver.
 :class:`SearchOptions` puts every depth/budget/POR/telemetry knob in one
 dataclass and :func:`run_search` dispatches on ``options.strategy``:
 
@@ -12,8 +9,12 @@ dataclass and :func:`run_search` dispatches on ``options.strategy``:
     print(report.summary())
     print(report.stats.describe())
 
-:func:`run_search` is the only entry point — the historical
-``explore()``/``random_walks()`` wrappers have been removed.
+The three drivers behind it — :class:`~repro.verisoft.explorer.Explorer`
+(``"dfs"``), :func:`~repro.verisoft.random_walk.random_walks`
+(``"random"``) and the lease scheduler
+(:mod:`repro.service.scheduler`, ``"parallel"``) — take the options
+object itself and derive the state store, sleep-set mode, resolved
+engine and observers from it.
 """
 
 from __future__ import annotations
@@ -208,6 +209,22 @@ class SearchOptions:
 
         return make_store(self.state_cache, cache_bits=self.cache_bits)
 
+    def make_observers(self, system: System) -> tuple[Any, Any]:
+        """A fresh ``(profiler, coverage collector)`` pair per
+        :attr:`profile` / :attr:`coverage` (each ``None`` when off).
+        Every search driver builds its own pair and attaches it to its
+        report as ``report.profile`` / ``report.coverage``."""
+        profiler = collector = None
+        if self.profile:
+            from ..obs import HotSpotProfiler
+
+            profiler = HotSpotProfiler()
+        if self.coverage:
+            from ..obs import CoverageCollector
+
+            collector = CoverageCollector(system)
+        return profiler, collector
+
     @property
     def sleep_sets_active(self) -> bool:
         """Whether the explorer keeps sleep-set pruning: always without
@@ -318,65 +335,10 @@ def _dispatch(
         from ..service.scheduler import work_stealing_search
 
         return work_stealing_search(system, options, system_factory=system_factory)
-
-    profiler = None
-    if options.profile:
-        from ..obs import HotSpotProfiler
-
-        profiler = HotSpotProfiler()
-    collector = None
-    if options.coverage:
-        from ..obs import CoverageCollector
-
-        collector = CoverageCollector(system)
-
     if options.strategy == "dfs":
         from .explorer import Explorer
 
-        report = Explorer(
-            system,
-            max_depth=options.max_depth,
-            backtrack=options.backtrack,
-            engine=options.engine,
-            por=options.por,
-            sleep_sets=options.sleep_sets_active,
-            state_store=options.make_state_store(),
-            count_states=options.count_states,
-            stop_on_first=options.stop_on_first,
-            max_paths=options.max_paths,
-            max_transitions=options.max_transitions,
-            time_budget=options.time_budget,
-            max_events=options.max_events,
-            on_leaf=options.on_leaf,
-            stop_when=options.stop_when,
-            progress=options.progress,
-            progress_interval=options.progress_interval,
-            on_step=profiler,
-            tracer=options.tracer,
-            coverage=collector,
-            phase_profile=profiler.phases if profiler is not None else None,
-        ).run()
-        report.profile = profiler
-        report.coverage = collector
-        return report
-
+        return Explorer(system, options).run()
     from .random_walk import random_walks
 
-    report = random_walks(
-        system,
-        walks=options.walks,
-        max_depth=options.max_depth,
-        seed=options.seed,
-        engine=options.engine,
-        max_events=options.max_events,
-        stop_on_first=options.stop_on_first,
-        time_budget=options.time_budget,
-        progress=options.progress,
-        progress_interval=options.progress_interval,
-        on_step=profiler,
-        tracer=options.tracer,
-        coverage=collector,
-    )
-    report.profile = profiler
-    report.coverage = collector
-    return report
+    return random_walks(system, options)

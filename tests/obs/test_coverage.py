@@ -152,6 +152,23 @@ class TestEngineParity:
         assert cov_key(_search(build, backtrack="replay")) == base
 
 
+class TestRandomWalks:
+    """Random walks build their own collector from ``options.coverage``."""
+
+    def test_walk_vs_compiled(self):
+        options = dict(strategy="random", walks=20, seed=7)
+        base = cov_key(_search(fig2_system, engine="walk", **options))
+        assert sum(base[0].values()) > 0
+        compiled = _search(fig2_system, engine="compiled", **options)
+        assert compiled.stats.engine == "compiled"
+        assert cov_key(compiled) == base
+
+    def test_stats_gauges_follow_the_collector(self):
+        report = _search(deadlock_system, strategy="random", walks=20, seed=7)
+        assert report.stats.coverage_nodes == report.coverage.nodes_covered > 0
+        assert report.stats.coverage_nodes_total == report.coverage.nodes_total
+
+
 class TestDriverParity:
     """jobs=1 / jobs=4 / steal produce bit-identical counters."""
 

@@ -125,3 +125,12 @@ class TestTracerIntegration:
         run_search(fig2, SearchOptions(tracer=tracer))
         names = {event["name"] for event in tracer.events}
         assert "path" in names
+
+    def test_random_walks_emit_one_span_per_walk(self, fig2):
+        tracer = Tracer()
+        report = run_search(
+            fig2, SearchOptions(strategy="random", walks=6, seed=3, tracer=tracer)
+        )
+        walks = [event for event in tracer.events if event["name"] == "walk"]
+        assert len(walks) == report.paths_explored == 6
+        assert [event["args"]["walk"] for event in walks] == list(range(6))

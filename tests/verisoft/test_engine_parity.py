@@ -10,6 +10,7 @@ field; any divergence is a bug in the compiler, full stop.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -268,22 +269,16 @@ class TestParallelParity:
 class TestRandomWalkParity:
     @pytest.mark.parametrize("seed", [0, 7, 1234])
     def test_seeded_walks_identical(self, seed):
-        walk = random_walks(
-            toss_call_system(), walks=25, max_depth=30, seed=seed, engine="walk"
-        )
-        compiled = random_walks(
-            toss_call_system(), walks=25, max_depth=30, seed=seed, engine="compiled"
-        )
+        options = SearchOptions(strategy="random", walks=25, max_depth=30, seed=seed)
+        walk = random_walks(toss_call_system(), options)
+        compiled = random_walks(toss_call_system(), replace(options, engine="compiled"))
         assert compiled.stats.engine == "compiled"
         assert report_key(walk) == report_key(compiled)
 
     def test_seeded_walks_identical_with_events(self):
-        walk = random_walks(
-            shared_system(), walks=50, max_depth=30, seed=3, engine="walk"
-        )
-        compiled = random_walks(
-            shared_system(), walks=50, max_depth=30, seed=3, engine="compiled"
-        )
+        options = SearchOptions(strategy="random", walks=50, max_depth=30, seed=3)
+        walk = random_walks(shared_system(), options)
+        compiled = random_walks(shared_system(), replace(options, engine="compiled"))
         assert report_key(walk) == report_key(compiled)
 
 

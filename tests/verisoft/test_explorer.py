@@ -2,7 +2,7 @@
 
 
 from tests.helpers import dfs_search
-from repro import System
+from repro import SearchOptions, System
 from repro.verisoft import Explorer, collect_output_traces, replay
 
 
@@ -304,7 +304,9 @@ class TestReplay:
         def on_leaf(run, trace):
             seen.append((tuple(run.env_outputs("out")), trace))
 
-        Explorer(system, max_depth=10, por=False, on_leaf=on_leaf).run()
+        Explorer(
+            system, SearchOptions(max_depth=10, por=False, on_leaf=on_leaf)
+        ).run()
         assert len(seen) == 3
         for outputs, trace in seen:
             rerun = replay(system, trace)

@@ -203,17 +203,18 @@ class TestSearchConfigLockstep:
     def test_all_configs_identical_counters_and_fingerprints(self, seed):
         results = {}
         for engine, backtrack in CONFIGS:
-            fingerprints: set = set()
-            report = Explorer(
+            explorer = Explorer(
                 random_system(seed),
-                max_depth=14,
-                engine=engine,
-                backtrack=backtrack,
-                count_states=True,
-                fingerprint_set=fingerprints,
-                max_transitions=4000,
-            ).run()
-            results[(engine, backtrack)] = (report, fingerprints)
+                SearchOptions(
+                    max_depth=14,
+                    engine=engine,
+                    backtrack=backtrack,
+                    count_states=True,
+                    max_transitions=4000,
+                ),
+            )
+            report = explorer.run()
+            results[(engine, backtrack)] = (report, explorer.seen_states)
 
         base_report, base_fps = results[("walk", "replay")]
         assert base_report.states_visited > 0

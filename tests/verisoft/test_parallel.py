@@ -100,7 +100,7 @@ def suspended_lease(system, paths, **kwargs):
         return calls[0] >= paths
 
     report, residuals, _ = explore_lease(
-        system, None, yield_check=yield_check, max_depth=20, **kwargs
+        system, None, SearchOptions(max_depth=20, **kwargs), yield_check=yield_check
     )
     return report, residuals
 
@@ -112,7 +112,9 @@ def lease_blocks(build, paths, **kwargs):
     report, residuals = suspended_lease(build(), paths, **kwargs)
     blocks = [((), report)]
     for prefix in residuals:
-        lease_report = explore_lease(build(), prefix, max_depth=20, **kwargs)[0]
+        lease_report = explore_lease(
+            build(), prefix, SearchOptions(max_depth=20, **kwargs)
+        )[0]
         blocks.append((prefix_key(prefix), lease_report))
     return blocks
 
@@ -145,27 +147,34 @@ class TestPrefixEnumeration:
         assert prefixes[0].describe() == "toss=1"
 
 
+def toss_9_system():
+    return toss_system(9)
+
+
+#: ``(system builder, paths before the root lease suspends)``; the toss
+#: cases are identified by ``paths`` alone.  Every case splits into
+#: several lease blocks (racing_system has only two paths).
+MERGE_CASES = [
+    *(pytest.param(toss_9_system, paths, id=str(paths)) for paths in (1, 2, 3)),
+    pytest.param(racing_system, 1, id="racing-1"),
+    pytest.param(deadlock_system, 1, id="deadlock-1"),
+    pytest.param(deadlock_system, 2, id="deadlock-2"),
+]
+
+
 class TestManualMerge:
     """Drive the lease pipeline by hand (no pool) and demand parity."""
 
-    @pytest.mark.parametrize("paths", [1, 2, 3])
-    def test_merge_matches_sequential(self, paths):
-        sequential = dfs_search(toss_system(9), max_depth=20, max_events=1000)
-        blocks = lease_blocks(lambda: toss_system(9), paths, max_events=1000)
+    @pytest.mark.parametrize("build, paths", MERGE_CASES)
+    def test_merge_matches_sequential(self, build, paths):
+        sequential = dfs_search(build(), max_depth=20, max_events=1000)
+        blocks = lease_blocks(build, paths, max_events=1000)
+        assert len(blocks) > 1
         merged = _merge_lease_blocks(blocks, max_events=1000, fingerprints=None)
         assert merged.summary() == sequential.summary()
-
-    def test_merge_deduplicates_shared_events(self):
-        # Committing a block twice must not double-count its events.
-        sequential = dfs_search(deadlock_system(), max_depth=20, max_events=1000)
-        blocks = lease_blocks(deadlock_system, 1, max_events=1000)
-        repeated = next(block for block in blocks if block[1].deadlocks)
-        merged = _merge_lease_blocks(
-            [*blocks, repeated], max_events=1000, fingerprints=None
-        )
-        assert len(merged.deadlocks) == len(sequential.deadlocks)
-        keys = [d.trace.choices for d in merged.deadlocks]
-        assert len(set(keys)) == len(keys)
+        for kind in ("deadlocks", "violations", "crashes", "divergences"):
+            merged_traces = [e.trace for e in getattr(merged, kind)]
+            assert merged_traces == [e.trace for e in getattr(sequential, kind)]
 
     def test_merge_respects_event_cap(self):
         blocks = lease_blocks(deadlock_system, 1, max_events=1)

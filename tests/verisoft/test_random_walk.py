@@ -1,9 +1,13 @@
 """Tests for the random-walk exploration mode."""
 
 
-from repro import System
+from repro import SearchOptions, System
 from repro.verisoft import replay
-from repro.verisoft.random_walk import random_walks
+from repro.verisoft.random_walk import random_walks as _random_walks
+
+
+def random_walks(system, **fields):
+    return _random_walks(system, SearchOptions(strategy="random", **fields))
 
 
 def toss_system():

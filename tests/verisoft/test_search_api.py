@@ -41,14 +41,13 @@ class TestDispatch:
 
         assert (
             run_search(toss_system(), SearchOptions(strategy="dfs")).summary()
-            == Explorer(toss_system()).run().summary()
+            == Explorer(toss_system(), SearchOptions()).run().summary()
         )
 
     def test_random_matches_internal_random_walks(self):
-        via_api = run_search(
-            toss_system(9), SearchOptions(strategy="random", walks=11, seed=42)
-        )
-        legacy = random_walks(toss_system(9), walks=11, seed=42)
+        options = SearchOptions(strategy="random", walks=11, seed=42)
+        via_api = run_search(toss_system(9), options)
+        legacy = random_walks(toss_system(9), options)
         assert via_api.summary() == legacy.summary()
 
     def test_parallel_strategy_dispatches(self):

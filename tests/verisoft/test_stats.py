@@ -39,7 +39,7 @@ def two_proc_system():
 
 class TestExplorerStats:
     def test_report_carries_stats(self):
-        report = Explorer(toss_system()).run()
+        report = Explorer(toss_system(), SearchOptions()).run()
         stats = report.stats
         assert stats is not None
         assert stats.strategy == "dfs"
@@ -50,19 +50,23 @@ class TestExplorerStats:
         assert stats.max_depth_reached == report.max_depth_reached
 
     def test_replays_count_backtracking(self):
-        report = Explorer(toss_system(bound=3)).run()
+        report = Explorer(
+            toss_system(bound=3), SearchOptions(backtrack="replay")
+        ).run()
         # 4 paths: the first execution is not a replay, the other 3 are.
         assert report.paths_explored == 4
         assert report.stats.replays == 3
 
     def test_replayed_transitions_counted(self):
-        report = Explorer(two_proc_system(), por=False).run()
+        report = Explorer(
+            two_proc_system(), SearchOptions(backtrack="replay", por=False)
+        ).run()
         assert report.stats.replayed_transitions > 0
         assert report.stats.replay_overhead is not None
         assert 0 < report.stats.replay_overhead < 1
 
     def test_wall_and_cpu_time_populated(self):
-        stats = Explorer(toss_system()).run().stats
+        stats = Explorer(toss_system(), SearchOptions()).run().stats
         assert stats.wall_time > 0.0
         assert stats.cpu_time >= 0.0
         assert stats.states_per_second > 0.0
@@ -70,8 +74,8 @@ class TestExplorerStats:
     def test_por_reduction_ratio(self):
         # Independent processes: the persistent sets are singletons, so
         # the ratio must show a strict reduction.
-        with_por = Explorer(two_proc_system(), por=True).run().stats
-        without = Explorer(two_proc_system(), por=False).run().stats
+        with_por = Explorer(two_proc_system(), SearchOptions(por=True)).run().stats
+        without = Explorer(two_proc_system(), SearchOptions(por=False)).run().stats
         assert with_por.reduction_ratio is not None
         assert with_por.reduction_ratio < 1.0
         assert without.reduction_ratio == 1.0
@@ -83,7 +87,9 @@ class TestExplorerStats:
 
 class TestRandomWalkStats:
     def test_stats_threaded_through(self):
-        report = random_walks(toss_system(), walks=7, seed=1)
+        report = random_walks(
+            toss_system(), SearchOptions(strategy="random", walks=7, seed=1)
+        )
         stats = report.stats
         assert stats is not None
         assert stats.strategy == "random"
@@ -92,7 +98,10 @@ class TestRandomWalkStats:
         assert report.toss_points == 7  # one toss per walk
 
     def test_time_budget_flags_incomplete(self):
-        report = random_walks(toss_system(), walks=10_000, time_budget=0.0)
+        report = random_walks(
+            toss_system(),
+            SearchOptions(strategy="random", walks=10_000, time_budget=0.0),
+        )
         assert report.incomplete
         assert report.truncated
 
